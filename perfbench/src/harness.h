@@ -103,13 +103,19 @@ inline Summary Summarize(std::vector<double> samples, double target = 99.0) {
   return s;
 }
 
+/// The percentile across windows that SummarizeWindows reports: the lower
+/// quartile, i.e. what the run achieved in its steadier quarter. Interference
+/// from outside the process only slows samples down, so it moves the result
+/// only if it spoils more than three quarters of the windows, while a change
+/// in the program's own cost moves every window and so the result.
+inline constexpr double kAcrossWindowsPct = 25.0;
+
 /// Windowed summary of a time-ordered sample: the sample is cut into
 /// consecutive windows of at least `min_per_window` samples (at most
 /// `max_windows` of them), each window is summarized by the percentile rule,
-/// and the result is the median across windows of the window medians and of
-/// the window tails. A burst of interference from outside the process then
-/// moves the result only if it spoils most windows. Fewer than
-/// 2 * min_per_window samples give one window: the plain Summarize.
+/// and the result is the kAcrossWindowsPct percentile across windows of the
+/// window medians and of the window tails. Fewer than 2 * min_per_window
+/// samples give one window: the plain Summarize.
 inline Summary SummarizeWindows(const std::vector<double>& ordered,
                                 std::size_t min_per_window,
                                 std::size_t max_windows = 64,
@@ -132,8 +138,8 @@ inline Summary SummarizeWindows(const std::vector<double>& ordered,
   }
   std::sort(medians.begin(), medians.end());
   std::sort(tails.begin(), tails.end());
-  out.median = RankValue(medians, 50.0);
-  out.tail = RankValue(tails, 50.0);
+  out.median = RankValue(medians, kAcrossWindowsPct);
+  out.tail = RankValue(tails, kAcrossWindowsPct);
   out.n = ordered.size();
   return out;
 }

@@ -15,9 +15,10 @@
 //      PpannsService::SearchBatch calls back to back (closed loop);
 //   3. online latency: an open loop of Poisson arrivals at a fixed rate,
 //      timed from each request's scheduled send time;
-//   4. checks: recall@10 against exact plaintext ground truth plus the
-//      workload's id-equality checks; any mismatch makes the run incorrect
-//      and the exit code non-zero;
+//   4. checks: recall@10 against exact plaintext ground truth, remote ids
+//      against in-process ids (over a loopback ShardServer when the workload
+//      is in-process) and, with the cache on, cached ids against uncached;
+//      any mismatch makes the run incorrect and the exit code non-zero;
 //   5. with --trace 1, instead of the end-to-end metrics: a ladder of calls
 //      into each layer's public entry points over a query sample, recorded as
 //      spans, from which every per-layer metric is derived.
@@ -84,6 +85,20 @@ constexpr double kBetaFraction = 0.5;
 constexpr std::size_t kHnswM = 16;
 constexpr std::size_t kEfConstruction = 100;
 constexpr std::size_t kIvfLists = 64;
+/// Popularity of the pre-encrypted pool tokens.
+constexpr double kZipfSkew = 1.1;
+/// Share of --seconds spent in the batch phase; the online phase gets the rest.
+constexpr double kBatchShare = 0.3;
+/// A run whose recall@10 falls below this is incorrect.
+constexpr double kRecallFloor = 0.9;
+/// Minimum samples per window of the windowed latency summaries.
+constexpr std::size_t kWindowSamples = 1000;
+/// Minimum batches (and encryptions) per window of the batch phase.
+constexpr std::size_t kBatchWindowSamples = 50;
+/// Minimum inserts (or deletes) per window of the write latencies.
+constexpr std::size_t kWriteWindowSamples = 500;
+/// PP-RPC streams per endpoint of every gather facade.
+constexpr std::size_t kPoolSize = 2;
 /// Queries whose ids are compared across paths: remote against in-process,
 /// cached against uncached, replica against replica.
 constexpr std::size_t kCheckQueries = 64;
@@ -130,25 +145,21 @@ struct Config {
   std::size_t insert_pool = 256;   ///< extra vectors for inserts
 
   // Index and topology.
-  std::string index = "hnsw";      ///< hnsw | ivf | brute
+  std::string index = "hnsw";      ///< hnsw | ivf
   bool sq = false;                 ///< int8 SQ filter tier (flat backends)
   std::size_t build_threads = 1;
   std::size_t shards = 2;
   std::size_t replicas = 1;
   bool remote = false;             ///< serve shards over loopback PP-RPC
-  std::size_t pool_size = 2;       ///< PP-RPC streams per endpoint
   std::size_t cache_capacity = 0;  ///< result cache entries; 0 = off
   bool wal = false;
 
   // Traffic.
   std::size_t token_pool = 0;   ///< pre-encrypted, re-sent byte-identical
-  double zipf_skew = 1.1;       ///< popularity of the pool tokens
   double resend_share = 0.0;    ///< share of searches drawn from the pool
   std::size_t batch_size = 32;
-  double batch_share = 0.3;     ///< share of --seconds for the batch phase
   double online_rate = 100.0;   ///< Poisson arrivals per second
-  double insert_share = 0.0;    ///< online share of inserts
-  double delete_share = 0.0;    ///< online share of deletes
+  double write_share = 0.0;     ///< online share of writes, half inserts
   std::size_t compact_every = 0;     ///< MaybeCompact after this many deletes
   double compact_threshold = 0.3;    ///< MaintenanceOptions::compact_threshold
   std::size_t compact_build_threads = 1;  ///< MaintenanceOptions::build_threads
@@ -157,9 +168,7 @@ struct Config {
   // Measurement.
   std::size_t setup_repeats = 3;
   std::size_t recall_queries = 200;
-  double recall_floor = 0.8;
   std::size_t trace_queries = 200;
-  std::size_t window_samples = 1000;  ///< min samples per latency window
 };
 
 Config ParseArgs(int argc, char** argv) {
@@ -205,30 +214,25 @@ Config ParseArgs(int argc, char** argv) {
   take("shards", &c.shards);
   take("replicas", &c.replicas);
   take("remote", &c.remote);
-  take("pool_size", &c.pool_size);
   take("cache_capacity", &c.cache_capacity);
   take("wal", &c.wal);
   take("token_pool", &c.token_pool);
-  take("zipf_skew", &c.zipf_skew);
   take("resend_share", &c.resend_share);
   take("batch_size", &c.batch_size);
-  take("batch_share", &c.batch_share);
   take("online_rate", &c.online_rate);
-  take("insert_share", &c.insert_share);
-  take("delete_share", &c.delete_share);
+  take("write_share", &c.write_share);
   take("compact_every", &c.compact_every);
   take("compact_threshold", &c.compact_threshold);
   take("compact_build_threads", &c.compact_build_threads);
   take("write_probe", &c.write_probe);
   take("setup_repeats", &c.setup_repeats);
   take("recall_queries", &c.recall_queries);
-  take("recall_floor", &c.recall_floor);
   take("trace_queries", &c.trace_queries);
-  take("window_samples", &c.window_samples);
   if (!kv.empty()) Die("unknown argument --" + kv.begin()->first);
 
   if (c.workload.empty()) Die("--workload is required");
   if (c.kind != "sift" && c.kind != "gist") Die("--kind must be sift or gist");
+  if (c.index != "hnsw" && c.index != "ivf") Die("--index must be hnsw or ivf");
   Require(c.n >= 1000, "--n must be at least 1000");
   Require(c.shards >= 1 && c.replicas >= 1, "shards and replicas must be >= 1");
   Require(c.batch_size >= 1 && c.setup_repeats >= 1, "sizes must be >= 1");
@@ -237,8 +241,7 @@ Config ParseArgs(int argc, char** argv) {
   Require(c.token_pool <= c.query_pool, "token_pool must be <= query_pool");
   Require(c.resend_share <= 0.0 || c.token_pool > 0,
           "resend_share needs a token_pool");
-  Require(c.batch_share > 0.0 && c.batch_share < 1.0,
-          "batch_share must be in (0, 1)");
+  Require(c.write_share < 1.0, "write_share must be below 1");
   Require(!c.wal || !c.tmp_dir.empty(), "a WAL needs --tmp-dir");
   return c;
 }
@@ -282,23 +285,29 @@ Data MakeData(const Config& c) {
 
 // ---- The system under test --------------------------------------------------
 
-/// One deployment. Members are destroyed in reverse order: the remote gather
-/// first, then the shard server, then the package it serves.
+/// A package served over PP-RPC: a ShardServer on an ephemeral 127.0.0.1
+/// port and a gather facade connected to it. The gather is destroyed first.
+struct Wire {
+  std::unique_ptr<ShardServer> server;
+  std::unique_ptr<PpannsService> gather;
+};
+
+/// One deployment. Members are destroyed in reverse order: the wire first,
+/// then the package it serves.
 struct System {
   std::unique_ptr<DataOwner> owner;
-  std::unique_ptr<PpannsService> local;   ///< the package, in-process
-  std::unique_ptr<ShardServer> server;    ///< serves `local` over PP-RPC
-  std::unique_ptr<PpannsService> remote;  ///< gather over `server`
+  std::unique_ptr<PpannsService> local;  ///< the package, in-process
+  Wire wire;                             ///< remote workloads only
   double keygen_s = 0.0;         ///< DataOwner::Create
   double encrypt_index_s = 0.0;  ///< EncryptAndIndexSharded
 
   /// The facade the workload's clients talk to.
-  PpannsService& front() const { return remote ? *remote : *local; }
+  PpannsService& front() const { return wire.gather ? *wire.gather : *local; }
 
   /// Tears the deployment down in dependency order.
   void Reset() {
-    remote.reset();
-    server.reset();
+    wire.gather.reset();
+    wire.server.reset();
     local.reset();
     owner.reset();
   }
@@ -325,18 +334,27 @@ PpannsParams MakeParams(const Config& c, const Data& d) {
 
 /// Starts a ShardServer over `service` on an ephemeral 127.0.0.1 port and
 /// connects a gather facade to it.
-void ServeRemotely(const Config& c, PpannsService* service,
-                   std::unique_ptr<ShardServer>* server,
-                   std::unique_ptr<PpannsService>* gather) {
-  *server = std::make_unique<ShardServer>(service, std::vector<std::uint32_t>{});
-  const Status st = (*server)->Start(0);
+Wire ServeRemotely(PpannsService* service) {
+  Wire wire;
+  wire.server =
+      std::make_unique<ShardServer>(service, std::vector<std::uint32_t>{});
+  const Status st = wire.server->Start(0);
   Require(st.ok(), "ShardServer::Start: " + st.ToString());
   ConnectOptions options;
-  options.pool_size = c.pool_size;
+  options.pool_size = kPoolSize;
   auto cluster = ConnectCluster(
-      {"127.0.0.1:" + std::to_string((*server)->port())}, options);
+      {"127.0.0.1:" + std::to_string(wire.server->port())}, options);
   Require(cluster.ok(), "ConnectCluster: " + cluster.status().ToString());
-  *gather = std::make_unique<PpannsService>(std::move(cluster->server));
+  wire.gather = std::make_unique<PpannsService>(std::move(cluster->server));
+  return wire;
+}
+
+/// The facade over PP-RPC for `sys`: the workload's own gather when it is
+/// remote, otherwise a gather over a loopback server that `loopback` keeps.
+PpannsService& RemoteFront(System& sys, Wire* loopback) {
+  if (sys.wire.gather) return *sys.wire.gather;
+  *loopback = ServeRemotely(sys.local.get());
+  return *loopback->gather;
 }
 
 /// The timed set-up: keys, encryption, index build, serving start-up.
@@ -355,7 +373,7 @@ System SetUp(const Config& c, const Data& d, const std::string& wal_dir) {
     const Status st = sys.local->AttachWal(wal_dir);
     Require(st.ok(), "AttachWal: " + st.ToString());
   }
-  if (c.remote) ServeRemotely(c, sys.local.get(), &sys.server, &sys.remote);
+  if (c.remote) sys.wire = ServeRemotely(sys.local.get());
   if (c.cache_capacity > 0) {
     sys.front().EnableResultCache({.capacity = c.cache_capacity});
   }
@@ -372,7 +390,7 @@ class TokenSource {
   TokenSource(const Config& c, const Data& d, SecretKeysPtr keys,
               const std::vector<QueryToken>* pool, std::uint64_t seed)
       : c_(c), d_(d), pool_(pool), client_(std::move(keys), seed),
-        zipf_(std::max<std::size_t>(c.token_pool, 1), c.zipf_skew),
+        zipf_(std::max<std::size_t>(c.token_pool, 1), kZipfSkew),
         rng_(seed ^ 0x5bd1e995ull) {}
 
   /// Draws the next search: true = pool token `*index`, false = fresh
@@ -424,10 +442,11 @@ struct BatchOutcome {
 };
 
 /// Closed loop: one caller thread, fixed-size SearchBatch calls back to back.
-/// Throughput is taken from the median batch, so a burst of interference from
-/// other processes on the host moves it less than it moves the phase total.
-/// Between batches, outside their timing, one extra EncryptQuery is timed:
-/// user-side cost sampled across the whole phase rather than in one burst.
+/// Throughput is taken from windows of kBatchWindowSamples batches
+/// (SummarizeWindows), so interference from other processes on the host
+/// moves it less than it moves the phase total. Between batches, outside
+/// their timing, one extra EncryptQuery is timed: user-side cost sampled
+/// across the whole phase rather than in one burst.
 BatchOutcome RunBatchPhase(const Config& c, const Data& d, const System& sys,
                            const std::vector<QueryToken>& pool, double seconds,
                            Counts* counts) {
@@ -461,7 +480,8 @@ BatchOutcome RunBatchPhase(const Config& c, const Data& d, const System& sys,
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - start).count();
   out.overall_qps = static_cast<double>(done) / elapsed;
-  out.qps = 1e6 / Summarize(out.batch_us_per_query).median;
+  out.qps =
+      1e6 / SummarizeWindows(out.batch_us_per_query, kBatchWindowSamples).median;
   return out;
 }
 
@@ -477,9 +497,9 @@ struct Op {
 /// The whole online schedule, drawn from the seed: Poisson send times, and
 /// for each request its kind and argument. Thread timing never changes it.
 /// Writes are spaced evenly (request i is a write when the running write
-/// count floor((i + 1) * share) steps) and alternate insert, delete, so every
-/// run of a given length makes the same number of each — and so crosses the
-/// count-triggered compaction the same number of times.
+/// count floor((i + 1) * write_share) steps) and alternate insert, delete, so
+/// every run of a given length makes the same number of each — and so crosses
+/// the count-triggered compaction the same number of times.
 std::vector<Op> MakeSchedule(const Config& c, const TokenSource& source,
                              double seconds, std::size_t victims,
                              std::uint64_t seed) {
@@ -487,16 +507,13 @@ std::vector<Op> MakeSchedule(const Config& c, const TokenSource& source,
   std::mt19937_64 rng(seed ^ 0xa0761d6478bd642full);
   std::vector<Op> ops;
   ops.reserve(times.size());
-  const double write_share = c.insert_share + c.delete_share;
   std::size_t inserts = 0, deletes = 0;
   for (std::size_t i = 0; i < times.size(); ++i) {
     Op op;
     op.at = times[i];
-    const bool write = std::floor(static_cast<double>(i + 1) * write_share) >
-                       std::floor(static_cast<double>(i) * write_share);
-    // Alternate, in proportion to the two shares.
-    const bool insert = static_cast<double>(inserts) * c.delete_share <=
-                        static_cast<double>(deletes) * c.insert_share;
+    const bool write = std::floor(static_cast<double>(i + 1) * c.write_share) >
+                       std::floor(static_cast<double>(i) * c.write_share);
+    const bool insert = inserts <= deletes;
     if (write && insert && inserts < c.insert_pool) {
       op.kind = OpKind::kInsert;
       op.arg = inserts++;
@@ -530,7 +547,53 @@ struct WriteLog {
   std::size_t compactions = 0;
   std::vector<VectorId> inserted;      ///< global ids, by insert-pool row
   std::vector<VectorId> deleted;       ///< victims actually removed
+  std::uint64_t attempted = 0;  ///< writes and maintenance sweeps
+  std::uint64_t failed = 0;
+
+  /// One write's latency, as its caller measures it.
+  void Record(OpKind kind, double ms) {
+    latency_ms.push_back(ms);
+    (kind == OpKind::kInsert ? insert_ms : delete_ms).push_back(ms);
+  }
 };
+
+/// Applies one write through the facade: insert-pool row `op.arg` or victim
+/// `op.arg`. Times the call into `w` and counts it there.
+void ApplyWrite(PpannsService& svc, const Op& op,
+                const std::vector<EncryptedVector>& inserts,
+                const std::vector<VectorId>& victims, WriteLog* w) {
+  const auto s = Clock::now();
+  bool ok = false;
+  if (op.kind == OpKind::kInsert) {
+    auto r = svc.Insert(inserts[op.arg]);
+    w->insert_us.push_back(MsSince(s, Clock::now()) * 1e3);
+    ok = r.ok();
+    if (ok) w->inserted[op.arg] = *r;
+  } else {
+    const Status st = svc.Delete(victims[op.arg]);
+    w->delete_us.push_back(MsSince(s, Clock::now()) * 1e3);
+    ok = st.ok();
+    if (ok) w->deleted.push_back(victims[op.arg]);
+  }
+  ++w->attempted;
+  w->failed += ok ? 0 : 1;
+}
+
+/// One maintenance sweep (MaybeCompact), timed into `w` and counted there.
+void Compact(const Config& c, PpannsService& svc, WriteLog* w) {
+  ShardedCloudServer::MaintenanceOptions maintenance;
+  maintenance.compact_threshold = c.compact_threshold;
+  maintenance.build_threads = c.compact_build_threads;
+  const auto s = Clock::now();
+  auto swept = svc.sharded_server_mutable().MaybeCompact(maintenance);
+  w->compact_ms.push_back(MsSince(s, Clock::now()));
+  ++w->attempted;
+  if (swept.ok()) {
+    w->compactions += *swept;
+  } else {
+    ++w->failed;
+  }
+}
 
 struct OnlineOutcome {
   std::vector<double> search_ms;  ///< send order; scheduled send to completion
@@ -607,7 +670,6 @@ OnlineOutcome RunOnlinePhase(const Config& c, const Data& d, System& sys,
   std::vector<double> latency_ms(ops.size(), std::nan(""));
   OnlineOutcome out;
   out.writes.inserted.assign(inserts.size(), 0);
-  std::uint64_t write_attempts = 0, write_failures = 0;
 
   const auto t0 = Clock::now() + std::chrono::milliseconds(20);
   auto due = [&](const Op& op) {
@@ -629,17 +691,15 @@ OnlineOutcome RunOnlinePhase(const Config& c, const Data& d, System& sys,
           QueryToken fresh;
           if (!op.pooled) fresh = source.Fresh(op.arg);
           const QueryToken& token = op.pooled ? pool[op.arg] : fresh;
+          std::shared_lock<std::shared_mutex> lock(gate.mu, std::defer_lock);
           if (has_writes) {
             while (gate.pending.load(std::memory_order_acquire)) {
               std::this_thread::yield();
             }
-            std::shared_lock<std::shared_mutex> lock(gate.mu);
-            auto r = svc.Search(token, kK, settings);
-            ok = r.ok() && !r->partial;
-          } else {
-            auto r = svc.Search(token, kK, settings);
-            ok = r.ok() && !r->partial;
+            lock.lock();
           }
+          auto r = svc.Search(token, kK, settings);
+          ok = r.ok() && !r->partial;
         }
         latency_ms[i] = MsSince(due(op), Clock::now());
         ++log.counts.attempted;
@@ -652,48 +712,21 @@ OnlineOutcome RunOnlinePhase(const Config& c, const Data& d, System& sys,
     threads.emplace_back([&] {
       WriteLog& w = out.writes;
       std::size_t deletes = 0;
-      ShardedCloudServer::MaintenanceOptions maintenance;
-      maintenance.compact_threshold = c.compact_threshold;
-      maintenance.build_threads = c.compact_build_threads;
       std::size_t i = 0;
       while (write_queue.Pop(&i)) {
         const Op& op = ops[i];
-        bool ok = false;
         {
           gate.pending.store(true, std::memory_order_release);
           std::unique_lock<std::shared_mutex> lock(gate.mu);
           gate.pending.store(false, std::memory_order_release);
-          const auto s = Clock::now();
-          if (op.kind == OpKind::kInsert) {
-            auto r = svc.Insert(inserts[op.arg]);
-            w.insert_us.push_back(MsSince(s, Clock::now()) * 1e3);
-            ok = r.ok();
-            if (ok) w.inserted[op.arg] = *r;
-          } else {
-            const Status st = svc.Delete(victims[op.arg]);
-            w.delete_us.push_back(MsSince(s, Clock::now()) * 1e3);
-            ok = st.ok();
-            if (ok) w.deleted.push_back(victims[op.arg]);
-          }
+          ApplyWrite(svc, op, inserts, victims, &w);
         }
-        w.latency_ms.push_back(MsSince(due(op), Clock::now()));
-        (op.kind == OpKind::kInsert ? w.insert_ms : w.delete_ms)
-            .push_back(w.latency_ms.back());
-        ++write_attempts;
-        write_failures += ok ? 0 : 1;
+        w.Record(op.kind, MsSince(due(op), Clock::now()));
         // Count-triggered maintenance, outside the gate: compaction swaps
         // epochs and never blocks searches; later writes queue behind it.
         if (op.kind == OpKind::kDelete && c.compact_every > 0 &&
             ++deletes % c.compact_every == 0) {
-          const auto s = Clock::now();
-          auto swept = svc.sharded_server_mutable().MaybeCompact(maintenance);
-          w.compact_ms.push_back(MsSince(s, Clock::now()));
-          ++write_attempts;
-          if (swept.ok()) {
-            w.compactions += *swept;
-          } else {
-            ++write_failures;
-          }
+          Compact(c, svc, &w);
         }
       }
     });
@@ -718,48 +751,33 @@ OnlineOutcome RunOnlinePhase(const Config& c, const Data& d, System& sys,
     counts->attempted += log.counts.attempted;
     counts->failed += log.counts.failed;
   }
-  counts->attempted += write_attempts;
-  counts->failed += write_failures;
   return out;
 }
 
 /// Closed-loop writes after the read phases (workloads whose traffic has no
 /// writes): alternating inserts and deletes, then one maintenance sweep.
+/// Latency is the call's own duration.
 void RunWriteProbe(const Config& c, System& sys,
                    const std::vector<EncryptedVector>& inserts,
-                   const std::vector<VectorId>& victims, WriteLog* w,
-                   Counts* counts) {
+                   const std::vector<VectorId>& victims, WriteLog* w) {
   PpannsService& svc = sys.front();
   std::size_t ins = 0, del = 0;
   for (std::size_t i = 0; i < c.write_probe; ++i) {
-    const auto s = Clock::now();
-    bool ok = false;
+    Op op;
     if (i % 2 == 0 && ins < inserts.size()) {
-      auto r = svc.Insert(inserts[ins++]);
-      w->insert_us.push_back(MsSince(s, Clock::now()) * 1e3);
-      w->insert_ms.push_back(w->insert_us.back() / 1e3);
-      ok = r.ok();
+      op.kind = OpKind::kInsert;
+      op.arg = ins++;
     } else if (del < victims.size()) {
-      const Status st = svc.Delete(victims[del++]);
-      w->delete_us.push_back(MsSince(s, Clock::now()) * 1e3);
-      w->delete_ms.push_back(w->delete_us.back() / 1e3);
-      ok = st.ok();
+      op.kind = OpKind::kDelete;
+      op.arg = del++;
     } else {
       continue;
     }
-    w->latency_ms.push_back(MsSince(s, Clock::now()));
-    ++counts->attempted;
-    counts->failed += ok ? 0 : 1;
+    const auto s = Clock::now();
+    ApplyWrite(svc, op, inserts, victims, w);
+    w->Record(op.kind, MsSince(s, Clock::now()));
   }
-  ShardedCloudServer::MaintenanceOptions maintenance;
-  maintenance.compact_threshold = c.compact_threshold;
-  maintenance.build_threads = c.compact_build_threads;
-  const auto s = Clock::now();
-  auto swept = svc.sharded_server_mutable().MaybeCompact(maintenance);
-  w->compact_ms.push_back(MsSince(s, Clock::now()));
-  ++counts->attempted;
-  if (swept.ok()) w->compactions += *swept;
-  else ++counts->failed;
+  Compact(c, svc, w);
 }
 
 // ---- Checks -----------------------------------------------------------------
@@ -814,16 +832,18 @@ Checks RunChecks(const Config& c, const Data& d, System& sys,
     recall += RecallAtK(r->ids, gt[i], kK);
   }
   out.recall = recall / static_cast<double>(c.recall_queries);
-  if (out.recall < c.recall_floor) {
+  if (out.recall < kRecallFloor) {
     out.problems.push_back("recall_at_10 " + std::to_string(out.recall) +
-                           " below floor " + std::to_string(c.recall_floor));
+                           " below floor " + std::to_string(kRecallFloor));
   }
 
   const std::size_t checks = std::min(kCheckQueries, tokens.size());
-  if (sys.remote) {
+  {
     // The same tokens through PP-RPC and in-process must give the same ids.
+    Wire loopback;
+    PpannsService& remote = RemoteFront(sys, &loopback);
     for (std::size_t i = 0; i < checks; ++i) {
-      auto r = sys.remote->Search(tokens[i], kK, settings);
+      auto r = remote.Search(tokens[i], kK, settings);
       auto l = sys.local->Search(tokens[i], kK, settings);
       if (!r.ok() || !l.ok() || r->ids != l->ids) {
         out.problems.push_back("remote ids differ from in-process ids");
@@ -848,7 +868,7 @@ Checks RunChecks(const Config& c, const Data& d, System& sys,
     }
     if (hits == 0) out.problems.push_back("no replayed token hit the cache");
   }
-  if (!sys.remote && c.replicas > 1) {
+  if (c.replicas > 1) {
     // Reported, not gated: do the replicas of a shard still agree?
     const ShardedCloudServer& sharded = sys.local->sharded_server();
     for (std::size_t i = 0; i < checks; ++i) {
@@ -942,18 +962,13 @@ Ladder RunLadder(const Config& c, const Data& d, System& sys) {
   const std::size_t nq = c.trace_queries;
   PpannsService& local = *sys.local;
   local.DisableResultCache();
-  if (sys.remote) sys.remote->DisableResultCache();
   const ShardedCloudServer& sharded = local.sharded_server();
   const std::size_t shards = sharded.num_shards();
 
   // A loopback server for the remote rung when the workload is in-process.
-  std::unique_ptr<ShardServer> server;
-  std::unique_ptr<PpannsService> gather;
-  PpannsService* remote = sys.remote.get();
-  if (remote == nullptr) {
-    ServeRemotely(c, &local, &server, &gather);
-    remote = gather.get();
-  }
+  Wire loopback;
+  PpannsService& remote = RemoteFront(sys, &loopback);
+  remote.DisableResultCache();
 
   // 1. EncryptQuery.
   QueryClient client(sys.owner->ShareKeys(), c.seed * 47 + 9);
@@ -1067,7 +1082,7 @@ Ladder RunLadder(const Config& c, const Data& d, System& sys) {
       },
       [&](std::size_t i) {
         log.Time(i, 0, kRemote,
-                 [&] { return remote->Search(tokens[i], kK, settings); });
+                 [&] { return remote.Search(tokens[i], kK, settings); });
       },
   };
   for (std::size_t i = 0; i < nq; ++i) {
@@ -1273,7 +1288,7 @@ int Run(const Config& c) {
 
   // 2. Batch throughput, closed loop.
   const BatchOutcome batch = RunBatchPhase(c, d, sys, pool,
-                                           c.seconds * c.batch_share, &counts);
+                                           c.seconds * kBatchShare, &counts);
   Log("batch: %.1f qps (median batch), %.1f qps overall", batch.qps,
       batch.overall_qps);
 
@@ -1281,14 +1296,14 @@ int Run(const Config& c) {
   const auto online_start = Clock::now();
   OnlineOutcome online =
       RunOnlinePhase(c, d, sys, pool, inserts, victims,
-                     c.seconds * (1.0 - c.batch_share), &counts);
+                     c.seconds * (1.0 - kBatchShare), &counts);
   const double online_wall = MsSince(online_start, Clock::now()) / 1e3;
-  const Summary search = SummarizeWindows(online.search_ms, c.window_samples);
+  const Summary search = SummarizeWindows(online.search_ms, kWindowSamples);
   // The gated tail is p90: on a shared host, stalls from outside the process
   // hit about 1% of requests and swing p99 by 2x between identical runs. The
   // p99s are still reported, ungated, in the traced run (tail.*).
   const Summary search_p90 =
-      SummarizeWindows(online.search_ms, c.window_samples, 64, 90.0);
+      SummarizeWindows(online.search_ms, kWindowSamples, 64, 90.0);
   const Summary lag = Summarize(online.lag_ms);
   Log("online: %zu searches in %.2f s, p50 %.3f ms p99 %.3f ms, %zu writes "
       "p50 %.3f ms, lag p99 %.3f ms",
@@ -1310,8 +1325,10 @@ int Run(const Config& c) {
                                                             victims.size(),
                                                             c.write_probe),
                                         victims.end());
-    RunWriteProbe(c, sys, inserts, probe_victims, &writes, &counts);
+    RunWriteProbe(c, sys, inserts, probe_victims, &writes);
   }
+  counts.attempted += writes.attempted;
+  counts.failed += writes.failed;
   if (lag.tail > kLagLimitMs) {
     checks.problems.push_back("open-loop generator fell behind: lag p99 " +
                               std::to_string(lag.tail) + " ms");
@@ -1323,7 +1340,6 @@ int Run(const Config& c) {
   if (!c.trace) {
     QueryClient client(sys.owner->ShareKeys(), c.seed * 67 + 4);
     const std::size_t token_bytes = client.EncryptQuery(d.queries.row(0)).ByteSize();
-    const std::size_t half_window = std::max<std::size_t>(c.window_samples / 2, 1);
     const double ok_frac =
         static_cast<double>(counts.attempted - counts.failed) /
         static_cast<double>(std::max<std::uint64_t>(counts.attempted, 1));
@@ -1332,11 +1348,12 @@ int Run(const Config& c) {
         {"throughput_qps", batch.qps, "1/s"},
         {"latency_p50_ms", search.median, "ms"},
         {"latency_p90_ms", search_p90.tail, "ms"},
-        {"insert_p50_ms", SummarizeWindows(writes.insert_ms, half_window).median,
-         "ms"},
-        {"delete_p50_ms", SummarizeWindows(writes.delete_ms, half_window).median,
-         "ms"},
-        {"user_encrypt_us", Median(batch.encrypt_us), "us"},
+        {"insert_p50_ms",
+         SummarizeWindows(writes.insert_ms, kWriteWindowSamples).median, "ms"},
+        {"delete_p50_ms",
+         SummarizeWindows(writes.delete_ms, kWriteWindowSamples).median, "ms"},
+        {"user_encrypt_us",
+         SummarizeWindows(batch.encrypt_us, kBatchWindowSamples).median, "us"},
         {"comm_bytes_per_query",
          static_cast<double>(token_bytes + sizeof(VectorId) * kK), "bytes"},
         {"recall_at_10", checks.recall, "ratio"},
@@ -1424,7 +1441,7 @@ int Run(const Config& c) {
     metrics.push_back({"harness.gen_lag_p99_ms", lag.tail, "ms"});
     metrics.push_back({"tail.latency_p99_ms", search.tail, "ms"});
     metrics.push_back({"tail.write_p99_ms",
-                       SummarizeWindows(writes.latency_ms, c.window_samples).tail,
+                       SummarizeWindows(writes.latency_ms, kWindowSamples).tail,
                        "ms"});
     metrics.push_back({"crypto.keygen_s", sys.keygen_s, "s"});
     metrics.push_back({"core.encrypt_index_s", sys.encrypt_index_s, "s"});

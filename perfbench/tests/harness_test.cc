@@ -129,6 +129,19 @@ TEST(PercentileRuleTest, WindowsRejectABurstInOneWindow) {
   EXPECT_DOUBLE_EQ(SummarizeWindows(small, 1000).tail, Summarize(small).tail);
 }
 
+TEST(PercentileRuleTest, WindowsReportTheSteadierQuarter) {
+  // Eight windows; the host slows down the last six (3x): the result is
+  // still the undisturbed cost, while a slowdown of every window shows.
+  std::vector<double> v(8000, 1.0);
+  for (std::size_t i = 2000; i < v.size(); ++i) v[i] = 3.0;
+  EXPECT_DOUBLE_EQ(SummarizeWindows(v, 1000).median, 1.0);
+  EXPECT_DOUBLE_EQ(SummarizeWindows(std::vector<double>(8000, 3.0), 1000).median,
+                   3.0);
+  // Seven slowed windows out of eight: the lower quartile sees the slowdown.
+  for (std::size_t i = 1000; i < 2000; ++i) v[i] = 3.0;
+  EXPECT_DOUBLE_EQ(SummarizeWindows(v, 1000).median, 3.0);
+}
+
 TEST(MarginalTest, SubtractsPerQueryAndSkipsMissingRungs) {
   const double nan = std::nan("");
   const std::vector<double> outer = {10.0, 20.0, nan, 7.0};
