@@ -1289,7 +1289,7 @@ int Run(const Config& c) {
   // 2. Batch throughput, closed loop.
   const BatchOutcome batch = RunBatchPhase(c, d, sys, pool,
                                            c.seconds * kBatchShare, &counts);
-  Log("batch: %.1f qps (median batch), %.1f qps overall", batch.qps,
+  Log("batch: %.1f qps (windowed), %.1f qps overall", batch.qps,
       batch.overall_qps);
 
   // 3. Online latency, open loop.
