@@ -85,12 +85,18 @@ VectorId CloudServer::Insert(const EncryptedVector& v) {
 }
 
 Status CloudServer::Delete(VectorId id) {
-  PPANNS_RETURN_IF_ERROR(db_.index->Remove(id));
+  Result<RemoveEdit> edit = PlanDelete(id);
+  if (!edit.ok()) return edit.status();
+  ApplyDelete(*edit);
+  return Status::OK();
+}
+
+void CloudServer::ApplyDelete(const RemoveEdit& edit) {
+  db_.index->ApplyRemove(edit);
   // Blank the DCE ciphertext: the server drops the deleted payload while
   // keeping ids stable.
-  db_.dce[id].data.clear();
-  db_.dce[id].data.shrink_to_fit();
-  return Status::OK();
+  db_.dce[edit.id].data.clear();
+  db_.dce[edit.id].data.shrink_to_fit();
 }
 
 std::size_t CloudServer::StorageBytes() const {

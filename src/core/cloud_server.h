@@ -153,6 +153,16 @@ class CloudServer {
   VectorId Insert(const EncryptedVector& v);
   Status Delete(VectorId id);
 
+  /// Delete split in two (SecureFilterIndex::PlanRemove/ApplyRemove): the
+  /// read-only, deterministic plan does all of the repair work, and the
+  /// apply assigns its result and blanks the DCE ciphertext. A replicated
+  /// shard plans on its primary once and applies the same edit to every
+  /// replica. Delete(id) is ApplyDelete(PlanDelete(id)).
+  Result<RemoveEdit> PlanDelete(VectorId id) const {
+    return db_.index->PlanRemove(id);
+  }
+  void ApplyDelete(const RemoveEdit& edit);
+
   std::size_t size() const { return db_.index->size(); }
   const SecureFilterIndex& index() const { return *db_.index; }
   const std::vector<DceCiphertext>& dce_ciphertexts() const { return db_.dce; }

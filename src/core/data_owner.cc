@@ -75,8 +75,8 @@ EncryptedDatabase DataOwner::EncryptAndIndexParallel(const FloatMatrix& data) {
   db.dce.resize(data.size());
 
   // Sequential SAP pass (the rng stream must stay in row order), then the
-  // index build: sequential inserts at build_threads == 1, the fine-grained
-  // locking bulk builder across build_threads stripes otherwise.
+  // index build: sequential inserts at build_threads == 1, the wave builder
+  // across build_threads threads otherwise.
   if (params_.build_threads > 1) {
     FloatMatrix sap(data.size(), dim_);
     for (std::size_t i = 0; i < data.size(); ++i) {
@@ -141,7 +141,7 @@ ShardedEncryptedDatabase DataOwner::EncryptAndIndexSharded(
   // Parallel per-shard graph build: each shard's insertions stay in local
   // order (ids are assigned in order either way), and independent shards
   // proceed concurrently. With build_threads > 1 each shard additionally
-  // fans its own graph construction across that many stripes (BuildParallel
+  // fans its own graph construction across that many threads (BuildParallel
   // detects it is running inside a pool worker and uses dedicated threads),
   // so a sharded build uses up to num_shards x build_threads cores.
   const std::size_t build_threads = params_.build_threads;

@@ -23,11 +23,9 @@ namespace ppanns {
 /// produces the package outsourced to the cloud — flat
 /// (EncryptedDatabase) or sharded/replicated (ShardedEncryptedDatabase).
 /// Owns the randomness: for a fixed (seed, data, params) every build is
-/// byte-deterministic regardless of thread scheduling at the default
-/// params.build_threads == 1. With build_threads > 1 the intra-shard HNSW
-/// construction itself runs concurrently: the ciphertexts and every node's
-/// level remain deterministic, but graph edge sets may vary run-to-run
-/// through insertion interleaving (recall-equivalent; pinned by tests).
+/// byte-deterministic regardless of thread scheduling. With
+/// build_threads > 1 the intra-shard HNSW construction runs the wave
+/// builder, whose graph is the same at every thread count >= 2.
 class DataOwner {
  public:
   /// Generates fresh keys for d-dimensional data.
@@ -46,8 +44,8 @@ class DataOwner {
   /// Same output contract, but computes the DCE layer (the expensive part:
   /// O(d^2) per vector) on the global thread pool, and — when
   /// params.build_threads > 1 — fans the graph construction itself across
-  /// that many fine-grained-locking build stripes
-  /// (SecureFilterIndex::BuildParallel). Per-row encryption randomness is
+  /// that many build threads (SecureFilterIndex::BuildParallel, the
+  /// deterministic wave builder). Per-row encryption randomness is
   /// derived from the owner seed and the row index, so the ciphertexts are
   /// deterministic for a given (seed, data) regardless of thread scheduling.
   EncryptedDatabase EncryptAndIndexParallel(const FloatMatrix& data);
@@ -55,8 +53,8 @@ class DataOwner {
   /// Partitions the dataset round-robin across params.num_shards shards and
   /// produces the sharded outsourced package. Per-shard graph construction
   /// runs in parallel on the global ThreadPool, and params.build_threads > 1
-  /// additionally parallelizes *inside* each shard's HNSW build (fine-grained
-  /// per-node locking), so construction can use up to
+  /// additionally parallelizes *inside* each shard's HNSW build (the wave
+  /// builder), so construction can use up to
   /// num_shards x build_threads cores. Consumes
   /// owner randomness exactly like EncryptAndIndexParallel (sequential
   /// SAP-only pass in global row order, per-row derived DCE randomness), so

@@ -51,14 +51,12 @@ struct PpannsParams {
   /// replicas without changing any result id. Only meaningful with
   /// num_shards >= 1 sharded builds (EncryptAndIndexSharded).
   std::uint32_t num_replicas = 1;
-  /// Intra-shard index build threads (the fine-grained-locking HNSW builder;
-  /// other backends build sequentially regardless). 1 keeps the historical
-  /// byte-deterministic sequential build. With B > 1 a sharded build runs
-  /// num_shards x build_threads construction stripes, the graph's random
-  /// skeleton (node levels) stays reproducible at a fixed B, and edge sets
-  /// may vary run-to-run only through insertion interleaving (recall moves
-  /// by well under a point). Build-time only — never serialized with the
-  /// package (see docs/file-formats.md).
+  /// Intra-shard index build threads (the HNSW wave builder; other backends
+  /// build sequentially regardless). 1 keeps the sequential insertion order.
+  /// With B > 1 a sharded build runs num_shards x build_threads construction
+  /// threads, and the graph is byte-identical at every B >= 2 (its recall is
+  /// within a point of the sequential graph). Build-time only — never
+  /// serialized with the package (see docs/file-formats.md).
   std::uint32_t build_threads = 1;
   std::uint64_t seed = 0xC0FFEE;
 

@@ -1627,15 +1627,15 @@ Status ShardedCloudServer::Delete(VectorId global_id) {
                             " was already removed (compacted away)");
   }
   ShardGroup& group = *set->groups[ref.shard];
-  Status st = group.replicas.front().Delete(ref.local);
-  if (st.ok()) {
-    // Replicas mirror the primary exactly, so the tombstone must land on
-    // every one of them.
-    for (std::size_t r = 1; r < group.replicas.size(); ++r) {
-      PPANNS_CHECK(group.replicas[r].Delete(ref.local).ok());
-    }
-    return st;
+  // Plan once on the primary, then apply the same edit to every replica:
+  // the repair's distance work runs once per shard, and the replicas stay
+  // byte-identical by construction.
+  Result<RemoveEdit> edit = group.replicas.front().PlanDelete(ref.local);
+  if (edit.ok()) {
+    for (CloudServer& replica : group.replicas) replica.ApplyDelete(*edit);
+    return Status::OK();
   }
+  const Status& st = edit.status();
   // The per-shard status names the local id, which the caller never saw;
   // restate it in global terms.
   const std::string where = "Delete: global id " + std::to_string(global_id) +

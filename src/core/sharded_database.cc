@@ -192,9 +192,12 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
   capacities.reserve(num_shards);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     db.shards[s].reserve(num_replicas);
+    std::size_t primary_begin = 0, primary_size = 0;
     for (std::uint32_t r = 0; r < num_replicas; ++r) {
+      const std::size_t begin = in->position();
       Result<EncryptedDatabase> replica = EncryptedDatabase::Deserialize(in);
       if (!replica.ok()) return replica.status();
+      const std::size_t size = in->position() - begin;
       // Replicas of one shard must agree on the local id space, or the
       // manifest (validated against replica 0) would mislocate vectors on
       // failover.
@@ -206,7 +209,21 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
             " disagrees with replica 0 capacity " +
             std::to_string(capacities[s]));
       }
-      if (r == 0) capacities.push_back(replica->index->capacity());
+      if (r == 0) {
+        capacities.push_back(replica->index->capacity());
+        primary_begin = begin;
+        primary_size = size;
+      } else if (size != primary_size ||
+                 std::memcmp(in->bytes() + begin, in->bytes() + primary_begin,
+                             size) != 0) {
+        // A shard applies each delete as an edit planned on replica 0, which
+        // is only valid on a byte-identical copy. Replicas that drifted apart
+        // (written by a version that repaired every replica on its own, or
+        // damaged) are re-stamped from replica 0's bytes.
+        BinaryReader primary(in->bytes() + primary_begin, primary_size);
+        replica = EncryptedDatabase::Deserialize(&primary);
+        PPANNS_CHECK(replica.ok());  // these bytes already parsed once
+      }
       db.shards[s].push_back(std::move(*replica));
     }
   }

@@ -47,7 +47,7 @@ class BruteForceIndex {
   void AddBatch(const FloatMatrix& data);
 
   /// Tombstones `id`. InvalidArgument if out of range, NotFound if already
-  /// deleted (matching HnswIndex::Remove).
+  /// deleted (matching HnswIndex::PlanRemove).
   Status Remove(VectorId id);
 
   /// Exact top-k over the live rows, ascending by (distance, id). `ctx`,

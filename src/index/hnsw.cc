@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
+#include <mutex>
 #include <queue>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "common/thread_pool.h"
 
@@ -48,11 +51,9 @@ HnswIndex::HnswIndex(std::size_t dim, HnswParams params)
     : dim_(dim),
       params_(params),
       level_mult_(1.0 / std::log(static_cast<double>(std::max<std::size_t>(params.m, 2)))),
-      level_rng_(params.seed),
       data_(0, dim),
       entry_state_(PackEntry(EntryState{})),
-      visited_pool_(std::make_unique<VisitedPool>()),
-      build_locks_(std::make_unique<BuildLocks>()) {
+      visited_pool_(std::make_unique<VisitedPool>()) {
   PPANNS_CHECK(dim > 0);
   PPANNS_CHECK(params.m >= 2);
 }
@@ -61,21 +62,18 @@ HnswIndex::HnswIndex(HnswIndex&& other) noexcept
     : dim_(other.dim_),
       params_(other.params_),
       level_mult_(other.level_mult_),
-      level_rng_(std::move(other.level_rng_)),
       data_(std::move(other.data_)),
       nodes_(std::move(other.nodes_)),
       entry_state_(other.entry_state_.load(std::memory_order_relaxed)),
       num_deleted_(other.num_deleted_),
       level_counts_(std::move(other.level_counts_)),
-      visited_pool_(std::move(other.visited_pool_)),
-      build_locks_(std::move(other.build_locks_)) {}
+      visited_pool_(std::move(other.visited_pool_)) {}
 
 HnswIndex& HnswIndex::operator=(HnswIndex&& other) noexcept {
   if (this == &other) return *this;
   dim_ = other.dim_;
   params_ = other.params_;
   level_mult_ = other.level_mult_;
-  level_rng_ = std::move(other.level_rng_);
   data_ = std::move(other.data_);
   nodes_ = std::move(other.nodes_);
   entry_state_.store(other.entry_state_.load(std::memory_order_relaxed),
@@ -83,7 +81,6 @@ HnswIndex& HnswIndex::operator=(HnswIndex&& other) noexcept {
   num_deleted_ = other.num_deleted_;
   level_counts_ = std::move(other.level_counts_);
   visited_pool_ = std::move(other.visited_pool_);
-  build_locks_ = std::move(other.build_locks_);
   return *this;
 }
 
@@ -253,44 +250,54 @@ std::vector<VectorId> HnswIndex::SelectNeighbors(
   return selected;
 }
 
+void HnswIndex::LinkBack(std::vector<VectorId>* list, VectorId owner,
+                         int level, VectorId src) const {
+  if (std::find(list->begin(), list->end(), src) != list->end()) return;
+  const std::size_t max_degree = MaxDegree(level);
+  if (list->size() < max_degree) {
+    list->push_back(src);
+    return;
+  }
+  // Overflow: re-select the owner's adjacency with the heuristic over its
+  // existing edges + the new one.
+  std::vector<Neighbor> cands;
+  cands.reserve(list->size() + 1);
+  const float* owner_vec = data_.row(owner);
+  for (VectorId existing : *list) {
+    cands.push_back(
+        Neighbor{existing, SquaredL2(owner_vec, data_.row(existing), dim_)});
+  }
+  cands.push_back(Neighbor{src, SquaredL2(owner_vec, data_.row(src), dim_)});
+  *list = SelectNeighbors(owner_vec, std::move(cands), max_degree);
+}
+
 void HnswIndex::Connect(VectorId id, int level,
                         const std::vector<VectorId>& neighbors) {
-  const std::size_t max_degree = (level == 0) ? params_.max_m0() : params_.m;
   nodes_[id].adjacency[level] = neighbors;
-
   for (VectorId nb : neighbors) {
-    auto& back = nodes_[nb].adjacency[level];
-    if (std::find(back.begin(), back.end(), id) != back.end()) continue;
-    if (back.size() < max_degree) {
-      back.push_back(id);
-      continue;
-    }
-    // Overflow: re-select the neighbor's adjacency with the heuristic over
-    // existing edges + the new node.
-    std::vector<Neighbor> cands;
-    cands.reserve(back.size() + 1);
-    const float* nb_vec = data_.row(nb);
-    for (VectorId existing : back) {
-      cands.push_back(Neighbor{existing, SquaredL2(nb_vec, data_.row(existing), dim_)});
-    }
-    cands.push_back(Neighbor{id, SquaredL2(nb_vec, data_.row(id), dim_)});
-    back = SelectNeighbors(nb_vec, std::move(cands), max_degree);
+    LinkBack(&nodes_[nb].adjacency[level], nb, level, id);
   }
 }
 
 VectorId HnswIndex::Add(const float* v) {
   const VectorId id = data_.Append(v);
-  const int level = RandomLevel();
+  Rng stream = LevelStream(id);
+  const int level = LevelFromRng(stream);
   Node node;
   node.level = level;
   node.adjacency.resize(level + 1);
   nodes_.push_back(std::move(node));
   CountLevel(level);
+  Link(id);
+  return id;
+}
 
+void HnswIndex::Link(VectorId id) {
+  const int level = nodes_[id].level;
   const EntryState state = LoadEntry();
   if (state.entry == kInvalidVectorId) {
     StoreEntry(EntryState{id, level});
-    return id;
+    return;
   }
 
   const float* query = data_.row(id);
@@ -309,21 +316,17 @@ VectorId HnswIndex::Add(const float* v) {
         SearchLayer(query, cur, params_.ef_construction, l, visited.get());
     if (cands.empty()) continue;
     cur = cands.front().id;  // closest found feeds the next level down
-    const std::size_t max_degree = (l == 0) ? params_.max_m0() : params_.m;
-    Connect(id, l, SelectNeighbors(query, std::move(cands),
-                                   std::min(params_.m, max_degree)));
+    Connect(id, l, SelectNeighbors(query, std::move(cands), params_.m));
   }
   visited_pool_->Release(std::move(visited));
 
   if (level > state.level) {
     StoreEntry(EntryState{id, level});
   }
-  return id;
 }
 
 void HnswIndex::AddBatch(const FloatMatrix& batch) {
-  PPANNS_CHECK(batch.dim() == dim_);
-  for (std::size_t i = 0; i < batch.size(); ++i) Add(batch.row(i));
+  AddBatchParallel(batch, /*pool=*/nullptr, /*num_threads=*/1);
 }
 
 void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
@@ -343,19 +346,13 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
   // mixed with the batch's base id so successive batches draw fresh
   // sequences, assigns every node's level regardless of the thread count —
   // half of the byte-reproducibility contract (the wave schedule below is
-  // the other half). On an empty index the mix is zero and the stream
-  // reproduces the sequential AddBatch skeleton exactly.
+  // the other half).
   const VectorId base = static_cast<VectorId>(nodes_.size());
   std::vector<int> levels(n);
-  const std::uint64_t batch_mix =
-      0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(base);
   {
-    Rng level_stream(params_.seed ^ batch_mix);
+    Rng level_stream = LevelStream(base);
     for (std::size_t i = 0; i < n; ++i) levels[i] = LevelFromRng(level_stream);
   }
-  // Advance the sequential level stream too: a later incremental Add must
-  // draw fresh levels, not replay this batch's sequence.
-  level_rng_ = Rng(level_rng_.NextUint64() ^ batch_mix ^ n);
   nodes_.reserve(nodes_.size() + n);
   data_.data().reserve((static_cast<std::size_t>(base) + n) * dim_);
   for (std::size_t i = 0; i < n; ++i) {
@@ -376,10 +373,10 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
   }
 
   if (threads <= 1) {
-    // Sequential path: one-at-a-time insertion, bit-identical to AddBatch on
-    // an empty index (each insert sees every previous one).
+    // Sequential path: one-at-a-time insertion (each insert sees every
+    // previous one).
     for (std::size_t i = first - base; i < n; ++i) {
-      InsertConcurrent(base + static_cast<VectorId>(i));
+      Link(base + static_cast<VectorId>(i));
     }
     return;
   }
@@ -423,9 +420,7 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
             SearchLayer(query, cur, params_.ef_construction, l, visited.get());
         if (cands.empty()) continue;
         cur = cands.front().id;
-        const std::size_t max_degree = (l == 0) ? params_.max_m0() : params_.m;
-        p.chosen[l] = SelectNeighbors(query, std::move(cands),
-                                      std::min(params_.m, max_degree));
+        p.chosen[l] = SelectNeighbors(query, std::move(cands), params_.m);
       }
       visited_pool_->Release(std::move(visited));
     };
@@ -470,198 +465,6 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
   }
 }
 
-void HnswIndex::InsertConcurrent(VectorId id) {
-  const int level = nodes_[id].level;
-  const float* query = data_.row(id);
-  const EntryState state = LoadEntry();
-  PPANNS_CHECK(state.entry != kInvalidVectorId);
-
-  std::vector<VectorId> scratch;  // adjacency snapshots, reused across levels
-  VectorId cur = state.entry;
-  for (int l = state.level; l > level; --l) {
-    cur = GreedyClosestBuild(query, cur, l, &scratch);
-  }
-
-  auto visited = visited_pool_->Acquire(nodes_.size());
-  for (int l = std::min(level, state.level); l >= 0; --l) {
-    std::vector<Neighbor> cands = SearchLayerBuild(
-        query, cur, params_.ef_construction, l, id, visited.get(), &scratch);
-    if (cands.empty()) continue;
-    cur = cands.front().id;
-    const std::size_t max_degree = (l == 0) ? params_.max_m0() : params_.m;
-    ConnectBuild(id, l, SelectNeighbors(query, std::move(cands),
-                                        std::min(params_.m, max_degree)));
-  }
-  visited_pool_->Release(std::move(visited));
-
-  // Level promotion is the only globally-serialized step: re-check under the
-  // small lock so racing promotions keep the highest node.
-  if (level > state.level) {
-    std::lock_guard<std::mutex> lock(build_locks_->promote_mu);
-    if (level > LoadEntry().level) StoreEntry(EntryState{id, level});
-  }
-}
-
-VectorId HnswIndex::GreedyClosestBuild(const float* query, VectorId start,
-                                       int level,
-                                       std::vector<VectorId>* scratch) {
-  VectorId cur = start;
-  float cur_dist = Distance(query, cur);
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    {
-      std::lock_guard<std::mutex> lock(build_locks_->ForNode(cur));
-      *scratch = nodes_[cur].adjacency[level];
-    }
-    const float* rows[kKernelBlock];
-    float dists[kKernelBlock];
-    for (std::size_t i = 0; i < scratch->size(); i += kKernelBlock) {
-      const std::size_t bn = std::min(kKernelBlock, scratch->size() - i);
-      for (std::size_t j = 0; j < bn; ++j) {
-        rows[j] = data_.row((*scratch)[i + j]);
-      }
-      L2Batch(query, rows, bn, dim_, dists);
-      for (std::size_t j = 0; j < bn; ++j) {
-        if (dists[j] < cur_dist) {
-          cur_dist = dists[j];
-          cur = (*scratch)[i + j];
-          improved = true;
-        }
-      }
-    }
-  }
-  return cur;
-}
-
-std::vector<Neighbor> HnswIndex::SearchLayerBuild(
-    const float* query, VectorId entry, std::size_t ef, int level,
-    VectorId self, VisitedList* visited, std::vector<VectorId>* scratch) {
-  const std::uint32_t epoch = visited->NextEpoch();
-  auto& tags = visited->tags;
-
-  std::priority_queue<Neighbor, std::vector<Neighbor>, FartherFirst> candidates;
-  std::priority_queue<Neighbor> results;
-
-  // `self` is the node being inserted. Unlike the sequential build it can
-  // already be reachable here (a concurrent insert that saw its wired upper
-  // levels may have linked to it), so it is kept traversable but excluded
-  // from results — otherwise SelectNeighbors would pick the distance-0 self
-  // match and create a permanent self-loop.
-  const float entry_dist = Distance(query, entry);
-  candidates.push(Neighbor{entry, entry_dist});
-  tags[entry] = epoch;
-  if (entry != self && !nodes_[entry].deleted) {
-    results.push(Neighbor{entry, entry_dist});
-  }
-
-  while (!candidates.empty()) {
-    const Neighbor cand = candidates.top();
-    if (results.size() >= ef && cand.distance > results.top().distance) break;
-    candidates.pop();
-
-    // Snapshot under the stripe lock, score outside it: distance work never
-    // serializes other inserts touching the same stripe.
-    {
-      std::lock_guard<std::mutex> lock(build_locks_->ForNode(cand.id));
-      *scratch = nodes_[cand.id].adjacency[level];
-    }
-    // Same blocked expansion as the query-path SearchLayer (no budget probe
-    // on the build path): batch-score unvisited snapshot entries, then offer
-    // in snapshot order.
-    VectorId block[kKernelBlock];
-    const float* rows[kKernelBlock];
-    float dists[kKernelBlock];
-    std::size_t si = 0;
-    while (si < scratch->size()) {
-      std::size_t bn = 0;
-      for (; si < scratch->size() && bn < kKernelBlock; ++si) {
-        const VectorId nb = (*scratch)[si];
-        if (tags[nb] == epoch) continue;
-        tags[nb] = epoch;
-        block[bn] = nb;
-        rows[bn] = data_.row(nb);
-        PrefetchRead(rows[bn]);
-        ++bn;
-      }
-      if (bn == 0) continue;
-      L2Batch(query, rows, bn, dim_, dists);
-      for (std::size_t j = 0; j < bn; ++j) {
-        const float d = dists[j];
-        const VectorId nb = block[j];
-        if (results.size() < ef || d < results.top().distance) {
-          candidates.push(Neighbor{nb, d});
-          if (nb != self && !nodes_[nb].deleted) {
-            results.push(Neighbor{nb, d});
-            if (results.size() > ef) results.pop();
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<Neighbor> out(results.size());
-  for (std::size_t i = results.size(); i > 0; --i) {
-    out[i - 1] = results.top();
-    results.pop();
-  }
-  return out;
-}
-
-void HnswIndex::ConnectBuild(VectorId id, int level,
-                             const std::vector<VectorId>& neighbors) {
-  const std::size_t max_degree = (level == 0) ? params_.max_m0() : params_.m;
-  {
-    // Once `id`'s upper levels are wired, a concurrent insert can reach it
-    // as its next-level search entry and back-link into this (still empty)
-    // lower level before we get here — merge rather than assign wholesale so
-    // those edges survive. (Sequential/T=1 builds always hit the empty
-    // fast path, preserving bit-equality with AddBatch.)
-    std::lock_guard<std::mutex> lock(build_locks_->ForNode(id));
-    auto& own = nodes_[id].adjacency[level];
-    if (own.empty()) {
-      own = neighbors;
-    } else {
-      for (VectorId nb : neighbors) {
-        if (std::find(own.begin(), own.end(), nb) == own.end()) {
-          own.push_back(nb);
-        }
-      }
-      if (own.size() > max_degree) {
-        std::vector<Neighbor> cands;
-        cands.reserve(own.size());
-        const float* vec = data_.row(id);
-        for (VectorId existing : own) {
-          cands.push_back(
-              Neighbor{existing, SquaredL2(vec, data_.row(existing), dim_)});
-        }
-        own = SelectNeighbors(vec, std::move(cands), max_degree);
-      }
-    }
-  }
-
-  for (VectorId nb : neighbors) {
-    std::lock_guard<std::mutex> lock(build_locks_->ForNode(nb));
-    auto& back = nodes_[nb].adjacency[level];
-    if (std::find(back.begin(), back.end(), id) != back.end()) continue;
-    if (back.size() < max_degree) {
-      back.push_back(id);
-      continue;
-    }
-    // Overflow re-selection runs under nb's stripe lock (it reads only
-    // immutable vector rows besides `back`, and takes no other lock, so the
-    // single-lock-at-a-time rule holds).
-    std::vector<Neighbor> cands;
-    cands.reserve(back.size() + 1);
-    const float* nb_vec = data_.row(nb);
-    for (VectorId existing : back) {
-      cands.push_back(Neighbor{existing, SquaredL2(nb_vec, data_.row(existing), dim_)});
-    }
-    cands.push_back(Neighbor{id, SquaredL2(nb_vec, data_.row(id), dim_)});
-    back = SelectNeighbors(nb_vec, std::move(cands), max_degree);
-  }
-}
-
 std::vector<Neighbor> HnswIndex::Search(const float* query, std::size_t k,
                                         std::size_t ef_search,
                                         std::size_t* visited_out,
@@ -691,124 +494,192 @@ std::vector<Neighbor> HnswIndex::Search(const float* query, std::size_t k,
   return results;
 }
 
-Status HnswIndex::Remove(VectorId id) {
+Result<RemoveEdit> HnswIndex::PlanRemove(VectorId id) const {
   if (id >= nodes_.size()) return Status::InvalidArgument("HNSW: bad id");
   if (nodes_[id].deleted) return Status::NotFound("HNSW: already deleted");
+  const EntryState state = LoadEntry();
+  ThreadPool& pool = ThreadPool::Global();
 
-  nodes_[id].deleted = true;
-  ++num_deleted_;
-  PPANNS_CHECK(static_cast<std::size_t>(nodes_[id].level) < level_counts_.size() &&
-               level_counts_[nodes_[id].level] > 0);
-  --level_counts_[nodes_[id].level];
-
-  // Collect in-neighbors per level and drop their edge to `id` (Section V-D:
-  // deletion is repaired server-side by reinserting the affected
-  // in-neighbors' edge sets). The unlink scan partitions the nodes across
-  // the pool — each node is touched by exactly one chunk and nothing else
-  // mutates yet, so this phase needs no locks. Repairs are deferred so the
-  // next phase can run them concurrently.
-  struct RepairItem {
-    VectorId v;
-    int level;
-  };
-  std::vector<RepairItem> repairs;
+  // 1. In-neighbors of `id`, per level (Section V-D: deletion is repaired
+  // server-side by re-linking the affected in-neighbors). The scan is the
+  // O(n) part, so it is chunked across the pool; sorting by (node, level)
+  // makes the list independent of how the chunks finished.
+  using Slot = std::pair<VectorId, int>;  // (node, level)
+  std::vector<Slot> repairs;
   std::mutex repairs_mu;
-  ThreadPool::Global().ParallelFor(
-      nodes_.size(), [&](std::size_t begin, std::size_t end) {
-        std::vector<RepairItem> local;
-        for (std::size_t v = begin; v < end; ++v) {
-          if (v == id || nodes_[v].deleted) continue;
-          Node& node = nodes_[v];
-          for (int l = 0; l <= node.level; ++l) {
-            auto& adj = node.adjacency[l];
-            auto it = std::find(adj.begin(), adj.end(), id);
-            if (it == adj.end()) continue;
-            adj.erase(it);
-            local.push_back(RepairItem{static_cast<VectorId>(v), l});
-          }
+  pool.ParallelFor(nodes_.size(), [&](std::size_t begin, std::size_t end) {
+    std::vector<Slot> local;
+    for (std::size_t v = begin; v < end; ++v) {
+      if (v == id || nodes_[v].deleted) continue;
+      const Node& node = nodes_[v];
+      for (int l = 0; l <= node.level; ++l) {
+        const auto& adj = node.adjacency[l];
+        if (std::find(adj.begin(), adj.end(), id) != adj.end()) {
+          local.emplace_back(static_cast<VectorId>(v), l);
         }
-        if (!local.empty()) {
-          std::lock_guard<std::mutex> lock(repairs_mu);
-          repairs.insert(repairs.end(), local.begin(), local.end());
-        }
-      });
+      }
+    }
+    if (!local.empty()) {
+      std::lock_guard<std::mutex> lock(repairs_mu);
+      repairs.insert(repairs.end(), local.begin(), local.end());
+    }
+  });
+  std::sort(repairs.begin(), repairs.end());
 
-  // Re-link the orphaned in-neighbors concurrently through the striped build
-  // locks. `id`'s own out-edges stay intact until every repair is done: if it
-  // was the entry point, repair descents still route through it (deleted
-  // nodes are traversable, never returned).
-  ThreadPool::Global().ParallelFor(
-      repairs.size(), [&](std::size_t begin, std::size_t end) {
-        std::vector<VectorId> scratch;
-        auto visited = visited_pool_->Acquire(nodes_.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          RepairNodeConcurrent(repairs[i].v, repairs[i].level, visited.get(),
-                               &scratch);
-        }
-        visited_pool_->Release(std::move(visited));
-      });
-  nodes_[id].adjacency.assign(nodes_[id].adjacency.size(), {});
+  // 2. Every repair searches the frozen graph, so the repairs are
+  // independent of each other and of the pool width.
+  std::vector<std::vector<VectorId>> planned(repairs.size());
+  pool.ParallelFor(repairs.size(), [&](std::size_t begin, std::size_t end) {
+    auto visited = visited_pool_->Acquire(nodes_.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      planned[i] = PlanRepair(repairs[i].first, repairs[i].second, id, state,
+                              visited.get());
+    }
+    visited_pool_->Release(std::move(visited));
+  });
 
-  // Re-seat the entry point if it was deleted: the per-level live counts
-  // give the new max level in O(levels) (no full rescan per tombstone), and
-  // the scan for a representative stops at the first live node on it.
-  if (LoadEntry().entry == id) {
-    int new_max = -1;
+  // 3. Back-links from each repaired node to its new neighbors, grouped by
+  // (target, level). A group starts from the target's list — the planned
+  // one if the target was itself repaired at that level — and takes its
+  // sources in ascending order. Each group owns one list, so the groups run
+  // in parallel and stay deterministic.
+  std::vector<std::tuple<VectorId, int, VectorId>> links;  // (target, level, src)
+  for (std::size_t i = 0; i < repairs.size(); ++i) {
+    for (VectorId nb : planned[i]) {
+      links.emplace_back(nb, repairs[i].second, repairs[i].first);
+    }
+  }
+  std::sort(links.begin(), links.end());
+  std::vector<std::size_t> group_begin;
+  for (std::size_t j = 0; j < links.size(); ++j) {
+    if (j == 0 || std::get<0>(links[j]) != std::get<0>(links[j - 1]) ||
+        std::get<1>(links[j]) != std::get<1>(links[j - 1])) {
+      group_begin.push_back(j);
+    }
+  }
+  const std::size_t groups = group_begin.size();
+  group_begin.push_back(links.size());
+
+  // writes[i] is repair i; writes[repairs.size() + g] is group g's target
+  // when that target was not repaired, and stays empty otherwise.
+  RemoveEdit edit;
+  edit.id = id;
+  edit.writes.resize(repairs.size() + groups);
+  for (std::size_t i = 0; i < repairs.size(); ++i) {
+    edit.writes[i] = RemoveEdit::ListWrite{repairs[i].first, repairs[i].second,
+                                           std::move(planned[i])};
+  }
+  pool.ParallelFor(groups, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t g = begin; g < end; ++g) {
+      const Slot target{std::get<0>(links[group_begin[g]]),
+                        std::get<1>(links[group_begin[g]])};
+      auto it = std::lower_bound(repairs.begin(), repairs.end(), target);
+      RemoveEdit::ListWrite* out = &edit.writes[repairs.size() + g];
+      if (it != repairs.end() && *it == target) {
+        out = &edit.writes[it - repairs.begin()];
+      } else {
+        *out = RemoveEdit::ListWrite{
+            target.first, target.second,
+            nodes_[target.first].adjacency[target.second]};
+      }
+      for (std::size_t j = group_begin[g]; j < group_begin[g + 1]; ++j) {
+        LinkBack(&out->neighbors, target.first, target.second,
+                 std::get<2>(links[j]));
+      }
+    }
+  });
+  edit.writes.erase(
+      std::remove_if(edit.writes.begin(), edit.writes.end(),
+                     [](const RemoveEdit::ListWrite& w) {
+                       return w.node == kInvalidVectorId;
+                     }),
+      edit.writes.end());
+  std::sort(edit.writes.begin(), edit.writes.end(),
+            [](const RemoveEdit::ListWrite& a, const RemoveEdit::ListWrite& b) {
+              return Slot{a.node, a.level} < Slot{b.node, b.level};
+            });
+
+  // 4. Re-seat the entry point if it is the one removed: the per-level live
+  // counts (less `id`) give the new max level in O(levels), and the scan for
+  // a representative stops at the first live node on it.
+  edit.entry = state.entry;
+  edit.entry_level = state.level;
+  if (state.entry == id) {
+    edit.entry = kInvalidVectorId;
+    edit.entry_level = -1;
     for (int l = static_cast<int>(level_counts_.size()) - 1; l >= 0; --l) {
-      if (level_counts_[l] > 0) {
-        new_max = l;
+      if (level_counts_[l] > (l == nodes_[id].level ? 1u : 0u)) {
+        edit.entry_level = l;
         break;
       }
     }
-    VectorId new_entry = kInvalidVectorId;
-    if (new_max >= 0) {
-      for (std::size_t v = 0; v < nodes_.size(); ++v) {
-        if (!nodes_[v].deleted && nodes_[v].level == new_max) {
-          new_entry = static_cast<VectorId>(v);
-          break;
-        }
+    for (std::size_t v = 0; edit.entry_level >= 0 && v < nodes_.size(); ++v) {
+      if (v != id && !nodes_[v].deleted && nodes_[v].level == edit.entry_level) {
+        edit.entry = static_cast<VectorId>(v);
+        break;
       }
-      PPANNS_CHECK(new_entry != kInvalidVectorId);
     }
-    StoreEntry(EntryState{new_entry, new_max});
+    PPANNS_CHECK(edit.entry_level < 0 || edit.entry != kInvalidVectorId);
   }
-  return Status::OK();
+  return edit;
 }
 
-void HnswIndex::RepairNodeConcurrent(VectorId v, int level,
-                                     VisitedList* visited,
-                                     std::vector<VectorId>* scratch) {
-  // Re-run a neighborhood search from v and refill its adjacency at `level`
-  // with the selection heuristic (skipping v itself and deleted nodes; the
-  // build-path search excludes `self` from results already).
-  const EntryState state = LoadEntry();
-  if (state.entry == kInvalidVectorId || state.entry == v) return;
+std::vector<VectorId> HnswIndex::PlanRepair(VectorId v, int level,
+                                            VectorId removed, EntryState state,
+                                            VisitedList* visited) const {
+  // The descent starts at the entry point; when v is the entry point it
+  // therefore starts (and stays) at v itself.
   const float* vec = data_.row(v);
   VectorId cur = state.entry;
-  for (int l = state.level; l > level; --l) {
-    cur = GreedyClosestBuild(vec, cur, l, scratch);
+  for (int l = state.level; l > level; --l) cur = GreedyClosest(vec, cur, l);
+  std::vector<Neighbor> cands =
+      SearchLayer(vec, cur, params_.ef_construction, level, visited);
+  // In the frozen graph v and `removed` are still live; neither may be picked.
+  cands.erase(std::remove_if(cands.begin(), cands.end(),
+                             [v, removed](const Neighbor& c) {
+                               return c.id == v || c.id == removed;
+                             }),
+              cands.end());
+  // Merge with the surviving edges so a repair never loses a good one.
+  for (VectorId existing : nodes_[v].adjacency[level]) {
+    if (existing == removed ||
+        std::any_of(cands.begin(), cands.end(),
+                    [existing](const Neighbor& c) { return c.id == existing; })) {
+      continue;
+    }
+    cands.push_back(Neighbor{existing, SquaredL2(vec, data_.row(existing), dim_)});
   }
+  return SelectNeighbors(vec, std::move(cands), MaxDegree(level));
+}
 
-  std::vector<Neighbor> cands = SearchLayerBuild(
-      vec, cur, params_.ef_construction, level, v, visited, scratch);
-  if (cands.empty()) return;
-
-  const std::size_t max_degree = (level == 0) ? params_.max_m0() : params_.m;
-  // Merge with surviving adjacency so repair never loses good edges.
-  {
-    std::lock_guard<std::mutex> lock(build_locks_->ForNode(v));
-    for (VectorId existing : nodes_[v].adjacency[level]) {
-      cands.push_back(
-          Neighbor{existing, SquaredL2(vec, data_.row(existing), dim_)});
+void HnswIndex::ApplyRemove(const RemoveEdit& edit) {
+  // The edit is only meaningful on the index it was planned against (or a
+  // byte-identical copy); these checks keep any other index from being
+  // written out of bounds or left with a descent that cannot be walked.
+  PPANNS_CHECK(edit.id < nodes_.size() && !nodes_[edit.id].deleted);
+  for (const RemoveEdit::ListWrite& w : edit.writes) {
+    PPANNS_CHECK(w.node < nodes_.size() && w.level >= 0 &&
+                 w.level <= nodes_[w.node].level);
+    for (VectorId nb : w.neighbors) {
+      PPANNS_CHECK(nb < nodes_.size() &&
+                   (w.level == 0 || nodes_[nb].level >= w.level));
     }
   }
-  std::sort(cands.begin(), cands.end());
-  cands.erase(std::unique(cands.begin(), cands.end(),
-                          [](const Neighbor& a, const Neighbor& b) {
-                            return a.id == b.id;
-                          }),
-              cands.end());
-  ConnectBuild(v, level, SelectNeighbors(vec, std::move(cands), max_degree));
+  PPANNS_CHECK(edit.entry_level < 0
+                   ? edit.entry == kInvalidVectorId
+                   : edit.entry < nodes_.size() &&
+                         nodes_[edit.entry].level >= edit.entry_level);
+  Node& gone = nodes_[edit.id];
+  gone.deleted = true;
+  ++num_deleted_;
+  PPANNS_CHECK(static_cast<std::size_t>(gone.level) < level_counts_.size() &&
+               level_counts_[gone.level] > 0);
+  --level_counts_[gone.level];
+  for (const RemoveEdit::ListWrite& w : edit.writes) {
+    nodes_[w.node].adjacency[w.level] = w.neighbors;
+  }
+  gone.adjacency.assign(gone.adjacency.size(), {});
+  StoreEntry(EntryState{edit.entry, edit.entry_level});
 }
 
 bool HnswIndex::IsDeleted(VectorId id) const {

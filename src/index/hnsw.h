@@ -9,13 +9,15 @@
 // Supported operations:
 //  * Add            — incremental insertion (Algorithm 1 of the HNSW paper,
 //                     with the diversifying neighbor-selection heuristic),
-//  * AddBatchParallel — bulk insertion fanned across build threads with
-//                     fine-grained (striped per-node) locking; one graph's
-//                     construction scales with cores, compounding with the
-//                     cross-shard parallelism of the sharded builder,
+//  * AddBatchParallel — bulk insertion whose neighbor searches fan across
+//                     build threads (a deterministic wave schedule); one
+//                     graph's construction scales with cores, compounding
+//                     with the cross-shard parallelism of the sharded builder,
 //  * Search         — ef-bounded best-first search (Algorithms 2 & 5),
-//  * Remove         — deletion with in-neighbor repair, the maintenance
-//                     strategy of Section V-D of the PP-ANNS paper,
+//  * PlanRemove / ApplyRemove — deletion with in-neighbor repair, the
+//                     maintenance strategy of Section V-D of the PP-ANNS
+//                     paper, split into a read-only deterministic plan and a
+//                     cheap apply,
 //  * Serialize/Deserialize — byte-exact persistence.
 
 #ifndef PPANNS_INDEX_HNSW_H_
@@ -58,14 +60,38 @@ struct HnswStats {
   double avg_out_degree_level0 = 0.0;
 };
 
+/// The planned effect of one deletion (HnswIndex::PlanRemove): the removed
+/// id, every adjacency list the repair rewrites, sorted by (node, level), and
+/// the entry state afterwards. Applying it does no distance work, and the
+/// same edit applied to byte-identical indexes leaves them byte-identical —
+/// which is how a replicated shard plans each delete once and applies it to
+/// every replica. The flat backends' edit is just the tombstone: only `id`
+/// is set.
+struct RemoveEdit {
+  struct ListWrite {
+    VectorId node = kInvalidVectorId;
+    int level = 0;
+    std::vector<VectorId> neighbors;
+  };
+  VectorId id = kInvalidVectorId;
+  std::vector<ListWrite> writes;
+  VectorId entry = kInvalidVectorId;
+  int entry_level = -1;
+};
+
 /// The HNSW index. Owns a copy of the inserted vectors.
 ///
-/// Thread-safety contract: `Search` is const and safe to call concurrently
-/// with other `Search` calls. `AddBatchParallel` synchronizes its own build
-/// stripes internally (striped per-node adjacency locks, atomic entry
-/// state) but is exclusive against everything else: no Search (its
-/// adjacency reads are lock-free), no other mutation (Add/Remove/another
-/// batch), and no move of the index object may overlap it.
+/// Thread-safety contract: `Search` and `PlanRemove` are const and safe to
+/// call concurrently with each other. Every mutation (Add, AddBatchParallel,
+/// ApplyRemove) is exclusive against everything else, including a
+/// move of the index object; the parallel phases inside AddBatchParallel and
+/// PlanRemove only read the graph.
+///
+/// Every mutation is a pure function of the serialized state and its
+/// arguments: a node's level comes from a stream seeded by params.seed and
+/// its id, and deletes are planned deterministically. So an index and its
+/// Serialize/Deserialize copy stay byte-identical under the same sequence of
+/// mutations — what replicas and WAL replay rely on.
 class HnswIndex {
  public:
   HnswIndex(std::size_t dim, HnswParams params);
@@ -78,10 +104,11 @@ class HnswIndex {
   HnswIndex& operator=(const HnswIndex&) = delete;
 
   /// Inserts a vector, returning its id (dense, monotonically increasing;
-  /// ids of removed vectors are not reused).
+  /// ids of removed vectors are not reused). Its level is the first draw of
+  /// the level stream of a batch starting at that id (see AddBatchParallel).
   VectorId Add(const float* v);
 
-  /// Inserts all rows of `data` in order.
+  /// Inserts all rows of `data` in order: AddBatchParallel with one thread.
   void AddBatch(const FloatMatrix& data);
 
   /// Inserts all rows of `data` with the construction fanned across
@@ -102,10 +129,10 @@ class HnswIndex {
   /// wave-built one (each insert sees all previous ones, a wave's items do
   /// not see each other), with recall within noise of sequential.
   ///
-  /// `pool` is used for the stripes when calling from outside it; from
-  /// inside one of its workers (the per-shard sharded build) or with a
+  /// `pool` runs a wave's searches when calling from outside it; from inside
+  /// one of its workers (the per-shard sharded build) or with a
   /// single-worker pool, dedicated threads are spawned instead so
-  /// shards x build_threads stripes genuinely overlap and queued stripes can
+  /// shards x build_threads searches genuinely overlap and queued tasks can
   /// never deadlock behind blocked shard tasks. A null pool always uses
   /// dedicated threads.
   ///
@@ -130,17 +157,27 @@ class HnswIndex {
                                std::size_t* visited_out = nullptr,
                                SearchContext* ctx = nullptr) const;
 
-  /// Removes a vector and repairs the graph: every in-neighbor of `id` gets
-  /// its edge dropped and is re-linked by a fresh neighbor search, per the
-  /// deletion strategy of Section V-D (server-only, no data-owner help).
+  /// Plans the removal of `id` without changing the index: every
+  /// in-neighbor of `id` loses its edge and is re-linked by a fresh neighbor
+  /// search, per the deletion strategy of Section V-D (server-only, no
+  /// data-owner help). InvalidArgument for an unknown id, NotFound for one
+  /// already removed.
   ///
-  /// The in-neighbor sweep — the O(n) part — fans across the global pool:
-  /// unlinking partitions the nodes (no locks needed), then the repairs run
-  /// concurrently through the same striped per-node locks as
-  /// AddBatchParallel. Like the parallel build, Remove is exclusive against
-  /// Search and all other mutation; repaired edge sets can vary with thread
-  /// interleaving (the tests pin recall and reachability, not exact edges).
-  Status Remove(VectorId id);
+  /// The plan is a pure function of the graph: the in-neighbor scan (the
+  /// O(n) part) and the repair searches fan across the global pool, but each
+  /// repair searches the *frozen* graph and the results are combined in
+  /// (node, level) order, so the edit is the same at any pool width — from
+  /// the calling thread or inline inside a pool worker. The entry point,
+  /// when it is an in-neighbor, is repaired too (its search starts at
+  /// itself). Const, so it may overlap Search; it must not overlap a
+  /// mutation.
+  Result<RemoveEdit> PlanRemove(VectorId id) const;
+
+  /// Applies a PlanRemove edit made against this index's current state (or a
+  /// byte-identical copy of it): sets the tombstone, assigns the planned
+  /// lists, clears `id`'s own edges and stores the new entry state. No
+  /// distance work. Exclusive against Search and all other mutation.
+  void ApplyRemove(const RemoveEdit& edit);
 
   bool IsDeleted(VectorId id) const;
   std::size_t size() const { return data_.size() - num_deleted_; }
@@ -148,6 +185,8 @@ class HnswIndex {
   std::size_t dim() const { return dim_; }
   const HnswParams& params() const { return params_; }
   const FloatMatrix& data() const { return data_; }
+  /// The current entry point (kInvalidVectorId when empty).
+  VectorId entry_point() const { return LoadEntry().entry; }
 
   /// Out-neighbors of `id` at `level` (for tests / graph analyses).
   const std::vector<VectorId>& NeighborsAt(VectorId id, std::size_t level) const;
@@ -168,9 +207,7 @@ class HnswIndex {
   struct Node {
     int level = 0;
     bool deleted = false;
-    /// adjacency[l] = out-neighbors at level l, 0 <= l <= level. During a
-    /// parallel build every access goes through the node's stripe lock;
-    /// `level` and `deleted` are immutable while a build runs.
+    /// adjacency[l] = out-neighbors at level l, 0 <= l <= level.
     std::vector<std::vector<VectorId>> adjacency;
   };
 
@@ -201,18 +238,6 @@ class HnswIndex {
     std::vector<std::unique_ptr<VisitedList>> free_;
   };
 
-  /// Fine-grained build synchronization: adjacency mutations and snapshots
-  /// take the owning node's stripe; `promote_mu` serializes entry-point
-  /// promotions (the only global lock left in the build, taken once per
-  /// level-exceeding insert).
-  struct BuildLocks {
-    static constexpr std::size_t kStripes = 1024;
-    std::mutex stripes[kStripes];
-    std::mutex promote_mu;
-
-    std::mutex& ForNode(VectorId id) { return stripes[id % kStripes]; }
-  };
-
   /// (entry point, max level) packed into one word so concurrent readers can
   /// never observe a torn pair (e.g. a promoted level with the old entry,
   /// whose adjacency would be too shallow for the descent).
@@ -237,14 +262,17 @@ class HnswIndex {
     return SquaredL2(a, data_.row(b), dim_);
   }
 
-  /// Draws the level for a new node: floor(-ln(U) * (1/ln m)). The stream
-  /// comes from `rng` so per-stripe generators reproduce the sequential
-  /// distribution.
+  /// The level stream of a batch whose first id is `base`: params.seed mixed
+  /// with `base`, so levels depend only on persisted state.
+  Rng LevelStream(VectorId base) const {
+    return Rng(params_.seed ^ (0x9E3779B97F4A7C15ull * base));
+  }
+
+  /// Draws the level for a new node: floor(-ln(U) * (1/ln m)).
   int LevelFromRng(Rng& rng) const;
-  int RandomLevel() { return LevelFromRng(level_rng_); }
 
   /// Registers a live node at `level` in the per-level population counts
-  /// (what lets Remove recompute the max level in O(levels), not O(n)).
+  /// (what lets PlanRemove recompute the max level in O(levels), not O(n)).
   void CountLevel(int level);
 
   /// Greedy descent at one level: repeatedly move to the closest neighbor.
@@ -270,55 +298,48 @@ class HnswIndex {
                                         std::vector<Neighbor> candidates,
                                         std::size_t m) const;
 
+  std::size_t MaxDegree(int level) const {
+    return level == 0 ? params_.max_m0() : params_.m;
+  }
+
+  /// Adds the back-link `src` to `list`, the out-list of `owner` at `level`:
+  /// nothing if present, appended if there is room, otherwise the list is
+  /// re-selected with the heuristic over its edges plus `src`.
+  void LinkBack(std::vector<VectorId>* list, VectorId owner, int level,
+                VectorId src) const;
+
   /// Links `id` at `level` to `neighbors` and back, shrinking overflowing
   /// adjacency lists with the heuristic.
   void Connect(VectorId id, int level, const std::vector<VectorId>& neighbors);
 
-  /// Re-links node `v` at `level` after one of its out-edges was removed
-  /// (Remove's parallel sweep): a fresh neighborhood search merged with the
-  /// surviving adjacency, re-selected by the heuristic. Every adjacency read
-  /// is snapshotted and every write made through the striped build locks, so
-  /// many repairs run concurrently.
-  void RepairNodeConcurrent(VectorId v, int level, VisitedList* visited,
-                            std::vector<VectorId>* scratch);
+  /// PlanRemove's repair of in-neighbor `v` at `level` against the frozen
+  /// graph: descent from `state`, a beam search at `level` that may pick
+  /// neither `v` nor `removed`, merged with v's surviving edges and
+  /// re-selected by the heuristic. Returns v's new out-list.
+  std::vector<VectorId> PlanRepair(VectorId v, int level, VectorId removed,
+                                   EntryState state,
+                                   VisitedList* visited) const;
 
-  // ---- Concurrent-build variants (AddBatchParallel only). -------------------
-  // Same algorithms as the sequential functions above, with every adjacency
-  // read snapshotted (and every write made) under the owning node's stripe
-  // lock. At most one stripe lock is ever held at a time, so lock order can
-  // never deadlock. `scratch` is the caller's reusable snapshot buffer.
-
-  /// Inserts pre-registered node `id` (slot, level, and vector row already
-  /// exist) into the graph concurrently with other inserts.
-  void InsertConcurrent(VectorId id);
-  VectorId GreedyClosestBuild(const float* query, VectorId start, int level,
-                              std::vector<VectorId>* scratch);
-  /// `self` = the node being inserted: concurrently-wired back-links can
-  /// make it reachable mid-insert, so it stays traversable but is never
-  /// returned (a distance-0 self match would otherwise become a self-loop).
-  std::vector<Neighbor> SearchLayerBuild(const float* query, VectorId entry,
-                                         std::size_t ef, int level,
-                                         VectorId self, VisitedList* visited,
-                                         std::vector<VectorId>* scratch);
-  void ConnectBuild(VectorId id, int level,
-                    const std::vector<VectorId>& neighbors);
+  /// Links registered node `id` (slot, level and vector row already exist)
+  /// into the graph: greedy descent, then beam search + heuristic linking at
+  /// each level it occupies, then promotion to entry point if it is the
+  /// highest. The body of Add and of the one-thread batch build.
+  void Link(VectorId id);
 
   std::size_t dim_;
   HnswParams params_;
   double level_mult_;
-  Rng level_rng_;
   FloatMatrix data_;
   std::vector<Node> nodes_;
   /// Packed EntryState. Single source of truth for (entry point, max level).
   std::atomic<std::uint64_t> entry_state_;
   std::size_t num_deleted_ = 0;
-  /// level_counts_[l] = live nodes whose top level is l. Lets Remove find
+  /// level_counts_[l] = live nodes whose top level is l. Lets PlanRemove find
   /// the new max level without rescanning every node per tombstone.
   std::vector<std::size_t> level_counts_;
   // Behind unique_ptr: the pool's mutex would otherwise make the index
   // non-movable.
   mutable std::unique_ptr<VisitedPool> visited_pool_;
-  std::unique_ptr<BuildLocks> build_locks_;
 };
 
 }  // namespace ppanns

@@ -54,7 +54,7 @@ class IvfIndex {
   void AddBatch(const FloatMatrix& data);
 
   /// Tombstones `id` and drops it from its posting list. InvalidArgument if
-  /// out of range, NotFound if already deleted (matching HnswIndex::Remove).
+  /// out of range, NotFound if already deleted (matching HnswIndex::PlanRemove).
   Status Remove(VectorId id);
 
   /// Scans the `nprobe` closest posting lists; exact ranking within them.

@@ -41,7 +41,7 @@ class LshIndex {
 
   /// Tombstones `id` and unhooks it from every hash table, so it can never
   /// surface as a candidate again. InvalidArgument if out of range, NotFound
-  /// if already deleted (matching HnswIndex::Remove).
+  /// if already deleted (matching HnswIndex::PlanRemove).
   Status Remove(VectorId id);
 
   /// Ids in buckets matching the query across all tables (deduplicated).

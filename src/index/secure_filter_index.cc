@@ -22,7 +22,12 @@ class HnswFilterIndex final : public SecureFilterIndex {
 
   IndexKind kind() const override { return IndexKind::kHnsw; }
   VectorId Add(const float* v) override { return index_.Add(v); }
-  Status Remove(VectorId id) override { return index_.Remove(id); }
+  Result<RemoveEdit> PlanRemove(VectorId id) const override {
+    return index_.PlanRemove(id);
+  }
+  void ApplyRemove(const RemoveEdit& edit) override {
+    index_.ApplyRemove(edit);
+  }
 
   void BuildParallel(RowView data, ThreadPool* pool,
                      std::size_t build_threads) override {
@@ -71,7 +76,9 @@ class IvfFilterIndex final : public SecureFilterIndex {
 
   IndexKind kind() const override { return IndexKind::kIvf; }
   VectorId Add(const float* v) override { return index_.Add(v); }
-  Status Remove(VectorId id) override { return index_.Remove(id); }
+  void ApplyRemove(const RemoveEdit& edit) override {
+    PPANNS_CHECK(index_.Remove(edit.id).ok());
+  }
 
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                std::size_t breadth,
@@ -112,7 +119,9 @@ class LshFilterIndex final : public SecureFilterIndex {
 
   IndexKind kind() const override { return IndexKind::kLsh; }
   VectorId Add(const float* v) override { return index_.Add(v); }
-  Status Remove(VectorId id) override { return index_.Remove(id); }
+  void ApplyRemove(const RemoveEdit& edit) override {
+    PPANNS_CHECK(index_.Remove(edit.id).ok());
+  }
 
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                std::size_t breadth,
@@ -155,7 +164,9 @@ class BruteForceFilterIndex final : public SecureFilterIndex {
 
   IndexKind kind() const override { return IndexKind::kBruteForce; }
   VectorId Add(const float* v) override { return index_.Add(v); }
-  Status Remove(VectorId id) override { return index_.Remove(id); }
+  void ApplyRemove(const RemoveEdit& edit) override {
+    PPANNS_CHECK(index_.Remove(edit.id).ok());
+  }
 
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                std::size_t breadth,
@@ -186,6 +197,20 @@ class BruteForceFilterIndex final : public SecureFilterIndex {
 };
 
 }  // namespace
+
+Result<RemoveEdit> SecureFilterIndex::PlanRemove(VectorId id) const {
+  if (id >= capacity()) {
+    return Status::InvalidArgument(std::string(IndexKindName(kind())) +
+                                   ": bad id");
+  }
+  if (IsDeleted(id)) {
+    return Status::NotFound(std::string(IndexKindName(kind())) +
+                            ": already deleted");
+  }
+  RemoveEdit edit;
+  edit.id = id;
+  return edit;
+}
 
 Result<std::unique_ptr<SecureFilterIndex>> MakeSecureFilterIndex(
     IndexKind kind, std::size_t dim, const SecureFilterIndexOptions& options) {

@@ -68,10 +68,10 @@ class SecureFilterIndex {
   /// Bulk-builds over all rows of `data` (ids assigned in row order, exactly
   /// like AddBatch). `data` is a RowView, so sharded callers can hand a
   /// strided view straight into the shared SAP matrix instead of
-  /// materializing a per-shard copy. Backends with an internally-synchronized
-  /// builder (HNSW) fan the construction across `build_threads` logical
-  /// stripes — see HnswIndex::AddBatchParallel for the locking and
-  /// reproducibility contract; ivf/lsh/brute fall back to a sequential
+  /// materializing a per-shard copy. Backends with a parallel builder (HNSW)
+  /// fan the construction across `build_threads` threads — see
+  /// HnswIndex::AddBatchParallel for the reproducibility contract;
+  /// ivf/lsh/brute fall back to a sequential
   /// Add loop (their insert is already cheap, so parallel build is a no-op
   /// there). `pool` may be null or busy; backends then use dedicated threads.
   virtual void BuildParallel(RowView data, ThreadPool* pool,
@@ -81,10 +81,22 @@ class SecureFilterIndex {
     for (std::size_t i = 0; i < data.size(); ++i) Add(data.row(i));
   }
 
-  /// Removes a vector. The id keeps its slot; it never appears in Search
-  /// results again. InvalidArgument if out of range, NotFound if already
-  /// removed.
-  virtual Status Remove(VectorId id) = 0;
+  /// Plans the removal of a vector without changing the index.
+  /// InvalidArgument if out of range, NotFound if already removed. The plan
+  /// is deterministic: equal indexes produce equal edits at any thread
+  /// count. HNSW does all of its repair work here (the in-neighbor scan,
+  /// the re-linking searches and the back-links; see HnswIndex::PlanRemove)
+  /// and returns every adjacency list it rewrites. The flat backends (ivf,
+  /// lsh, brute) only validate: their edit is the tombstone alone, and
+  /// planning it allocates nothing.
+  virtual Result<RemoveEdit> PlanRemove(VectorId id) const;
+
+  /// Applies an edit planned against this index, or against a byte-identical
+  /// copy of it — the replicas of a shard apply the edit their primary
+  /// planned. The id keeps its slot; it never appears in Search results
+  /// again. HNSW only assigns the planned lists (no distance work); the flat
+  /// backends set the tombstone and unhook the id from their lists/buckets.
+  virtual void ApplyRemove(const RemoveEdit& edit) = 0;
 
   /// Up to k (id, distance) pairs ascending by squared L2 distance over the
   /// stored (ciphertext) vectors. `breadth` is the backend's search-width

@@ -6,11 +6,15 @@
 // cancellation, and maintenance keeping replicas in lockstep.
 
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/io.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/data_owner.h"
@@ -153,6 +157,48 @@ TEST(ReplicatedBuildTest, RejectsReplicaCapacityMismatch) {
   BinaryReader r(w.buffer());
   auto loaded = ShardedEncryptedDatabase::Deserialize(&r);
   EXPECT_EQ(loaded.status().code(), Status::Code::kIOError);
+}
+
+// A shard applies each delete as an edit planned on replica 0, which needs
+// byte-identical replicas. A package whose second replica drifted (here an
+// HNSW graph built with another level seed, so node levels differ) loads
+// with that replica re-stamped from replica 0, and deletes keep them equal.
+TEST(ReplicatedBuildTest, DivergentReplicaIsRestampedFromReplicaZero) {
+  const Dataset ds = MakeData(300, 0, /*seed=*/51);
+  PpannsParams params = BaseParams(IndexKind::kHnsw, 1, 1, 51);
+  ShardedEncryptedDatabase primary =
+      MakeOwner(params).EncryptAndIndexSharded(ds.base);
+  params.hnsw.seed = 52;
+  ShardedEncryptedDatabase drifted =
+      MakeOwner(params).EncryptAndIndexSharded(ds.base);
+
+  BinaryWriter image0, image1;
+  primary.shards[0][0].Serialize(&image0);
+  drifted.shards[0][0].Serialize(&image1);
+  ASSERT_NE(image0.buffer(), image1.buffer());
+  BinaryWriter w;
+  ShardedEncryptedDatabase::WriteEnvelopeHeader(&w, /*num_shards=*/1,
+                                                /*num_replicas=*/2);
+  primary.shards[0][0].Serialize(&w);
+  drifted.shards[0][0].Serialize(&w);
+  primary.manifest.Serialize(&w);
+
+  BinaryReader r(w.buffer());
+  auto loaded = ShardedEncryptedDatabase::Deserialize(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ShardedCloudServer cluster(std::move(*loaded));
+  auto replica_bytes = [&cluster](std::size_t r) {
+    BinaryWriter out;
+    cluster.replica(0, r).SerializeDatabase(&out);
+    return out.TakeBuffer();
+  };
+  EXPECT_EQ(replica_bytes(0), image0.buffer());
+  EXPECT_EQ(replica_bytes(1), image0.buffer()) << "replica 1 not re-stamped";
+  for (VectorId id = 0; id < 300; id += 7) {
+    ASSERT_TRUE(cluster.Delete(id).ok()) << id;
+  }
+  EXPECT_EQ(replica_bytes(1), replica_bytes(0))
+      << "replicas diverged after deletes";
 }
 
 TEST(ReplicatedBuildTest, ZeroReplicasIsRejected) {
@@ -568,6 +614,105 @@ TEST(ReplicatedMaintenanceTest, InsertAndDeleteKeepReplicasInLockstep) {
     found_inserted |= id == *inserted;
   }
   EXPECT_TRUE(found_inserted);
+}
+
+// Each delete is planned once on the shard's primary and the same edit is
+// applied to every replica, so replicas match their primary byte for byte
+// after any sequence of inserts, deletes and compaction. The plan is
+// deterministic, so replaying the WAL on the last checkpoint reproduces the
+// live package byte for byte as well.
+TEST(ReplicatedDeterminismTest, ReplicasAndWalReplayMatchLiveBytes) {
+  namespace fs = std::filesystem;
+  const std::size_t n = 2000;
+  const Dataset ds = MakeData(n, 64, /*seed=*/41);
+  DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 2, 2, 41));
+  BinaryWriter base;
+  owner.EncryptAndIndexSharded(ds.base).Serialize(&base);
+
+  auto load = [](const std::vector<std::uint8_t>& bytes) {
+    BinaryReader r(bytes);
+    auto db = ShardedEncryptedDatabase::Deserialize(&r);
+    PPANNS_CHECK(db.ok());
+    return PpannsService{ShardedCloudServer(std::move(*db))};
+  };
+  auto package_bytes = [](const PpannsService& service) {
+    BinaryWriter w;
+    service.sharded_server().SerializeDatabase(&w);
+    return w.TakeBuffer();
+  };
+  auto expect_replicas_match = [](const PpannsService& service,
+                                  const std::string& when) {
+    const ShardedCloudServer& cluster = service.sharded_server();
+    for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+      BinaryWriter primary;
+      cluster.replica(s, 0).SerializeDatabase(&primary);
+      for (std::size_t r = 1; r < cluster.replication_factor(); ++r) {
+        BinaryWriter replica;
+        cluster.replica(s, r).SerializeDatabase(&replica);
+        EXPECT_EQ(replica.buffer(), primary.buffer())
+            << "shard " << s << " replica " << r << " diverged " << when;
+      }
+    }
+  };
+
+  const fs::path root = fs::temp_directory_path() / "ppanns_replica_determinism";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  const std::string wal_dir = (root / "wal").string();
+  const std::string snapshot = (root / "checkpoint.ppanns").string();
+
+  PpannsService live = load(base.buffer());
+  ASSERT_TRUE(live.AttachWal(wal_dir).ok());
+  Rng rng(43);
+  std::vector<char> deleted(n, 0);
+  std::size_t next_query = 0;
+  auto churn = [&](std::size_t ops) {
+    for (std::size_t i = 0; i < ops; ++i) {
+      if (rng.UniformInt(0, 2) == 0) {
+        const auto& row = ds.queries.row(next_query++ % ds.queries.size());
+        ASSERT_TRUE(live.Insert(owner.EncryptOne(row)).ok());
+        continue;
+      }
+      VectorId id = 0;
+      do {
+        id = static_cast<VectorId>(rng.UniformInt(0, n - 1));
+      } while (deleted[id]);
+      deleted[id] = 1;
+      ASSERT_TRUE(live.Delete(id).ok());
+    }
+  };
+
+  churn(90);
+  expect_replicas_match(live, "after the first churn");
+  {
+    PpannsService replayed = load(base.buffer());
+    auto applied = replayed.ReplayWal(wal_dir);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(*applied, 90u);
+    EXPECT_EQ(package_bytes(replayed), package_bytes(live))
+        << "replay of the first churn diverged";
+  }
+
+  // Compaction is not logged, so the checkpoint after it carries it.
+  ShardedCloudServer::MaintenanceOptions compact;
+  compact.compact_threshold = 0.0;
+  compact.build_threads = 2;
+  auto swept = live.sharded_server_mutable().MaybeCompact(compact);
+  ASSERT_TRUE(swept.ok()) << swept.status().ToString();
+  EXPECT_GT(*swept, 0u);
+  ASSERT_TRUE(live.Checkpoint(snapshot).ok());
+
+  churn(90);
+  expect_replicas_match(live, "after compaction and the second churn");
+  auto checkpoint = ReadFile(snapshot);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  PpannsService replayed = load(*checkpoint);
+  auto applied = replayed.ReplayWal(wal_dir);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(*applied, 90u);
+  EXPECT_EQ(package_bytes(replayed), package_bytes(live))
+      << "replay after the checkpoint diverged";
+  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

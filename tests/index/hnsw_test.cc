@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serialize.h"
+#include "common/thread_pool.h"
 #include "datagen/synthetic.h"
 #include "index/brute_force.h"
 #include "eval/metrics.h"
@@ -21,6 +23,14 @@ FloatMatrix RandomData(std::size_t n, std::size_t d, std::uint64_t seed) {
   FloatMatrix m(n, d);
   for (auto& v : m.data()) v = static_cast<float>(rng.Uniform(-1, 1));
   return m;
+}
+
+// The single-index delete: plan the removal, then apply the edit.
+Status PlanAndApply(HnswIndex& index, VectorId id) {
+  Result<RemoveEdit> edit = index.PlanRemove(id);
+  if (!edit.ok()) return edit.status();
+  index.ApplyRemove(*edit);
+  return Status::OK();
 }
 
 TEST(HnswTest, EmptyIndexReturnsNothing) {
@@ -178,7 +188,7 @@ TEST(HnswTest, RemoveExcludesFromResults) {
   EXPECT_EQ(before[0].id, 17u);
 
   // ...until it is deleted.
-  ASSERT_TRUE(index.Remove(17).ok());
+  ASSERT_TRUE(PlanAndApply(index, 17).ok());
   EXPECT_TRUE(index.IsDeleted(17));
   EXPECT_EQ(index.size(), n - 1);
   auto after = index.Search(data.row(17), k, 100);
@@ -189,9 +199,9 @@ TEST(HnswTest, RemoveErrorsAreClean) {
   HnswIndex index(4, HnswParams{});
   const float v[] = {0, 0, 0, 0};
   index.Add(v);
-  EXPECT_EQ(index.Remove(5).code(), Status::Code::kInvalidArgument);
-  ASSERT_TRUE(index.Remove(0).ok());
-  EXPECT_EQ(index.Remove(0).code(), Status::Code::kNotFound);
+  EXPECT_EQ(PlanAndApply(index, 5).code(), Status::Code::kInvalidArgument);
+  ASSERT_TRUE(PlanAndApply(index, 0).ok());
+  EXPECT_EQ(PlanAndApply(index, 0).code(), Status::Code::kNotFound);
 }
 
 TEST(HnswTest, RecallSurvivesManyDeletions) {
@@ -205,7 +215,7 @@ TEST(HnswTest, RecallSurvivesManyDeletions) {
   Rng rng(12);
   std::set<VectorId> deleted;
   for (VectorId id = 0; id < n; id += 4) {
-    ASSERT_TRUE(index.Remove(id).ok());
+    ASSERT_TRUE(PlanAndApply(index, id).ok());
     deleted.insert(id);
   }
 
@@ -243,7 +253,7 @@ TEST(HnswTest, EntryPointSurvivesDeletion) {
   // Delete many nodes including (statistically) high-level ones; the index
   // must remain searchable throughout.
   for (VectorId id = 0; id < 150; ++id) {
-    ASSERT_TRUE(index.Remove(id).ok());
+    ASSERT_TRUE(PlanAndApply(index, id).ok());
     auto res = index.Search(data.row(200), 3, 30);
     EXPECT_FALSE(res.empty()) << "after deleting " << id;
   }
@@ -342,14 +352,14 @@ TEST(HnswTest, RemoveMaintainsMaxLevelThroughEntryDeletions) {
       }
     }
     if (victim == kInvalidVectorId) break;
-    ASSERT_TRUE(index.Remove(victim).ok());
+    ASSERT_TRUE(PlanAndApply(index, victim).ok());
   }
   EXPECT_EQ(index.ComputeStats().max_level, true_max_level());
 
   // Drain completely: the empty index reports level -1 and serves nothing,
   // and a fresh insert re-seats the entry point.
   for (VectorId id = 0; id < n; ++id) {
-    if (!index.IsDeleted(id)) ASSERT_TRUE(index.Remove(id).ok());
+    if (!index.IsDeleted(id)) ASSERT_TRUE(PlanAndApply(index, id).ok());
   }
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.ComputeStats().max_level, -1);
@@ -360,12 +370,68 @@ TEST(HnswTest, RemoveMaintainsMaxLevelThroughEntryDeletions) {
   EXPECT_EQ(res[0].id, n);
 }
 
+// The entry point is an in-neighbor like any other: when one of its
+// neighbors is deleted it is re-linked too (its repair search starts at
+// itself), so its level-0 list never thins out.
+TEST(HnswTest, EntryPointIsRepairedWhenItsNeighborIsDeleted) {
+  const std::size_t n = 600, d = 8;
+  FloatMatrix data = RandomData(n, d, 27);
+  HnswIndex index(d, HnswParams{.m = 6, .ef_construction = 60});
+  index.AddBatch(data);
+  const VectorId entry = index.entry_point();
+  for (int round = 0; round < 8; ++round) {
+    const std::vector<VectorId> before = index.NeighborsAt(entry, 0);
+    ASSERT_FALSE(before.empty());
+    ASSERT_TRUE(PlanAndApply(index, before.front()).ok());
+    ASSERT_EQ(index.entry_point(), entry);
+    EXPECT_GE(index.NeighborsAt(entry, 0).size(), before.size())
+        << "round " << round;
+  }
+}
+
+// A delete is planned against the frozen graph and combined in (node, level)
+// order, so the resulting graph does not depend on the pool width: removing
+// the same ids from the calling thread (the pool fans out) and from inside a
+// pool worker (ParallelFor runs inline) leaves identical bytes.
+TEST(HnswDeterminismTest, RemoveBytesIndependentOfPoolWidth) {
+  const std::size_t n = 2000, d = 12;
+  FloatMatrix data = RandomData(n, d, 91);
+  const HnswParams params{.m = 8, .ef_construction = 80, .seed = 5};
+  std::vector<VectorId> victims;
+  Rng rng(17);
+  while (victims.size() < 60) {
+    const auto id = static_cast<VectorId>(rng.UniformInt(0, n - 1));
+    if (std::find(victims.begin(), victims.end(), id) == victims.end()) {
+      victims.push_back(id);
+    }
+  }
+
+  auto remove_all = [&] {
+    HnswIndex index(d, params);
+    index.AddBatch(data);
+    // The entry point goes first, so the re-seat is part of the plan too.
+    const VectorId entry = index.entry_point();
+    PPANNS_CHECK(PlanAndApply(index, entry).ok());
+    for (VectorId id : victims) {
+      if (id != entry) PPANNS_CHECK(PlanAndApply(index, id).ok());
+    }
+    BinaryWriter w;
+    index.Serialize(&w);
+    return w.TakeBuffer();
+  };
+
+  const std::vector<std::uint8_t> wide = remove_all();
+  const std::vector<std::uint8_t> narrow =
+      ThreadPool::Global().Async(remove_all).get();
+  EXPECT_EQ(wide, narrow);
+}
+
 TEST(HnswTest, SerializeRoundTrip) {
   const std::size_t n = 400, d = 8, k = 5;
   FloatMatrix data = RandomData(n, d, 17);
   HnswIndex index(d, HnswParams{.m = 8, .ef_construction = 60, .seed = 99});
   index.AddBatch(data);
-  ASSERT_TRUE(index.Remove(3).ok());
+  ASSERT_TRUE(PlanAndApply(index, 3).ok());
 
   BinaryWriter w;
   index.Serialize(&w);

@@ -23,6 +23,14 @@ FloatMatrix RandomData(std::size_t n, std::size_t d, std::uint64_t seed) {
   return m;
 }
 
+// The single-index delete: plan the removal, then apply the edit.
+Status PlanAndApply(SecureFilterIndex& index, VectorId id) {
+  Result<RemoveEdit> edit = index.PlanRemove(id);
+  if (!edit.ok()) return edit.status();
+  index.ApplyRemove(*edit);
+  return Status::OK();
+}
+
 SecureFilterIndexOptions SmallOptions() {
   SecureFilterIndexOptions options;
   options.hnsw = HnswParams{.m = 8, .ef_construction = 60, .seed = 7};
@@ -51,7 +59,7 @@ TEST_P(FilterIndexContractTest, DenseIdsAndBasicAccounting) {
   EXPECT_GT((*index)->StorageBytes(), 100u * 8 * sizeof(float) - 1);
 
   // Removal keeps the slot: size drops, capacity and later ids do not shift.
-  ASSERT_TRUE((*index)->Remove(10).ok());
+  ASSERT_TRUE(PlanAndApply(**index, 10).ok());
   EXPECT_TRUE((*index)->IsDeleted(10));
   EXPECT_EQ((*index)->size(), 99u);
   EXPECT_EQ((*index)->capacity(), 100u);
@@ -64,7 +72,7 @@ TEST_P(FilterIndexContractTest, SearchReturnsSortedLiveIds) {
   FloatMatrix data = RandomData(200, 8, 2);
   (*index)->AddBatch(data);
   for (VectorId id = 0; id < 50; ++id) {
-    ASSERT_TRUE((*index)->Remove(id).ok());
+    ASSERT_TRUE(PlanAndApply(**index, id).ok());
   }
 
   for (std::size_t qi = 0; qi < 10; ++qi) {
@@ -85,8 +93,8 @@ TEST_P(FilterIndexContractTest, SerializationRoundTripsExactly) {
   ASSERT_TRUE(index.ok());
   FloatMatrix data = RandomData(150, 8, 3);
   (*index)->AddBatch(data);
-  ASSERT_TRUE((*index)->Remove(3).ok());
-  ASSERT_TRUE((*index)->Remove(77).ok());
+  ASSERT_TRUE(PlanAndApply(**index, 3).ok());
+  ASSERT_TRUE(PlanAndApply(**index, 77).ok());
 
   BinaryWriter w;
   (*index)->Serialize(&w);
