@@ -76,12 +76,12 @@ SearchResult CloudServer::Search(const QueryToken& token, std::size_t k,
   return result;
 }
 
-VectorId CloudServer::Insert(const EncryptedVector& v) {
-  PPANNS_CHECK(v.sap.size() == db_.index->dim());
-  const VectorId id = db_.index->Add(v.sap.data());
-  PPANNS_CHECK(id == db_.dce.size());
+VectorId CloudServer::ApplyInsert(const InsertEdit& edit,
+                                  const EncryptedVector& v) {
+  PPANNS_CHECK(v.sap.size() == db_.index->dim() && edit.id == db_.dce.size());
+  db_.index->ApplyInsert(edit, v.sap.data());
   db_.dce.push_back(v.dce);
-  return id;
+  return edit.id;
 }
 
 Status CloudServer::Delete(VectorId id) {

@@ -150,8 +150,22 @@ class CloudServer {
 
   /// Maintenance (Section V-D): link a freshly encrypted vector into the
   /// index / remove one and repair the affected structure.
-  VectorId Insert(const EncryptedVector& v);
+  VectorId Insert(const EncryptedVector& v) {
+    return ApplyInsert(PlanInsert(v), v);
+  }
   Status Delete(VectorId id);
+
+  /// Insert split in two (SecureFilterIndex::PlanInsert/ApplyInsert): the
+  /// read-only, deterministic plan does all of the linking work, and the
+  /// apply stores the SAP row with the planned lists and appends the DCE
+  /// ciphertext. A replicated shard plans on its primary once and applies
+  /// the same edit to every replica. Insert(v) is
+  /// ApplyInsert(PlanInsert(v), v). Returns the new local id.
+  InsertEdit PlanInsert(const EncryptedVector& v) const {
+    PPANNS_CHECK(v.sap.size() == db_.index->dim());
+    return db_.index->PlanInsert(v.sap.data());
+  }
+  VectorId ApplyInsert(const InsertEdit& edit, const EncryptedVector& v);
 
   /// Delete split in two (SecureFilterIndex::PlanRemove/ApplyRemove): the
   /// read-only, deterministic plan does all of the repair work, and the

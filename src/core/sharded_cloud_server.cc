@@ -1589,13 +1589,12 @@ Result<VectorId> ShardedCloudServer::Insert(const EncryptedVector& v) {
     }
   }
   ShardGroup& group = *set->groups[target];
-  // Every replica of the target shard applies the insert, so replicas stay
-  // identical and any of them can serve or fail over afterwards.
-  const VectorId local = group.replicas.front().Insert(v);
-  for (std::size_t r = 1; r < group.replicas.size(); ++r) {
-    const VectorId replica_local = group.replicas[r].Insert(v);
-    PPANNS_CHECK(replica_local == local);
-  }
+  // Plan once on the primary, then apply the same edit to every replica:
+  // the linking's distance work runs once per shard, and the replicas stay
+  // byte-identical by construction, so any of them can serve or fail over.
+  const InsertEdit edit = group.replicas.front().PlanInsert(v);
+  for (CloudServer& replica : group.replicas) replica.ApplyInsert(edit, v);
+  const VectorId local = edit.id;
   const VectorId global_id =
       set->manifest.Append(static_cast<ShardId>(target), local);
   PPANNS_CHECK(local == group.local_to_global.size());

@@ -235,20 +235,25 @@ class ShardedCloudServer {
       std::span<const QueryToken> tokens, std::size_t k,
       const SearchSettings& settings, const AsyncOptions& async) const;
 
-  /// Links a freshly encrypted vector into every replica of the least-loaded
-  /// shard and returns its dense *global* id. Serialized against maintenance
-  /// by the maintenance mutex; callers serialize it against their own
-  /// searches (the pre-existing mutation contract). On a remote server with
-  /// attached MutationTransports the insert broadcasts to every endpoint and
-  /// the endpoints must agree on (id, state_version, size) — a divergence
-  /// fails with FailedPrecondition; without transports: NotSupported.
+  /// Inserts a freshly encrypted vector into the least-loaded shard and
+  /// returns its dense *global* id. The insert is planned on the shard's
+  /// primary once (CloudServer::PlanInsert) and the same edit is applied to
+  /// every replica, so the linking runs once per shard and the replicas stay
+  /// byte-identical. Serialized against maintenance by the maintenance
+  /// mutex; callers serialize it against their own searches (the
+  /// pre-existing mutation contract). On a remote server with attached
+  /// MutationTransports the insert broadcasts to every endpoint and the
+  /// endpoints must agree on (id, state_version, size) — a divergence fails
+  /// with FailedPrecondition; without transports: NotSupported.
   Result<VectorId> Insert(const EncryptedVector& v);
 
-  /// Removes the vector behind a global id (manifest lookup + per-replica
-  /// delete on its shard). InvalidArgument if the id was never assigned;
-  /// NotFound if it was already removed — including when a compaction has
-  /// since physically dropped the tombstoned slot (a dead manifest ref).
-  /// Broadcasts like Insert on a remote server with transports.
+  /// Removes the vector behind a global id: a manifest lookup, then the
+  /// delete is planned on its shard's primary once (CloudServer::PlanDelete)
+  /// and the same edit is applied to every replica. InvalidArgument if the
+  /// id was never assigned; NotFound if it was already removed — including
+  /// when a compaction has since physically dropped the tombstoned slot (a
+  /// dead manifest ref). Broadcasts like Insert on a remote server with
+  /// transports.
   Status Delete(VectorId global_id);
 
   // ---- Structural maintenance (the live-mutation tentpole). Runs locally

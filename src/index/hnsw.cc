@@ -219,8 +219,10 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query, VectorId entry,
   return out;  // ascending by distance
 }
 
-std::vector<VectorId> HnswIndex::SelectNeighbors(
-    const float* base, std::vector<Neighbor> candidates, std::size_t m) const {
+std::vector<VectorId> HnswIndex::SelectNeighbors(const float* base,
+                                                 std::vector<Neighbor> candidates,
+                                                 std::size_t m,
+                                                 const float* pending) const {
   std::sort(candidates.begin(), candidates.end());
   std::vector<VectorId> selected;
   selected.reserve(m);
@@ -230,7 +232,8 @@ std::vector<VectorId> HnswIndex::SelectNeighbors(
     if (selected.size() >= m) break;
     bool diverse = true;
     for (VectorId s : selected) {
-      if (SquaredL2(data_.row(c.id), data_.row(s), dim_) < c.distance) {
+      if (SquaredL2(RowOf(c.id, pending), RowOf(s, pending), dim_) <
+          c.distance) {
         diverse = false;
         break;
       }
@@ -251,7 +254,7 @@ std::vector<VectorId> HnswIndex::SelectNeighbors(
 }
 
 void HnswIndex::LinkBack(std::vector<VectorId>* list, VectorId owner,
-                         int level, VectorId src) const {
+                         int level, VectorId src, const float* pending) const {
   if (std::find(list->begin(), list->end(), src) != list->end()) return;
   const std::size_t max_degree = MaxDegree(level);
   if (list->size() < max_degree) {
@@ -267,61 +270,130 @@ void HnswIndex::LinkBack(std::vector<VectorId>* list, VectorId owner,
     cands.push_back(
         Neighbor{existing, SquaredL2(owner_vec, data_.row(existing), dim_)});
   }
-  cands.push_back(Neighbor{src, SquaredL2(owner_vec, data_.row(src), dim_)});
-  *list = SelectNeighbors(owner_vec, std::move(cands), max_degree);
+  cands.push_back(
+      Neighbor{src, SquaredL2(owner_vec, RowOf(src, pending), dim_)});
+  *list = SelectNeighbors(owner_vec, std::move(cands), max_degree, pending);
 }
 
-void HnswIndex::Connect(VectorId id, int level,
-                        const std::vector<VectorId>& neighbors) {
-  nodes_[id].adjacency[level] = neighbors;
-  for (VectorId nb : neighbors) {
-    LinkBack(&nodes_[nb].adjacency[level], nb, level, id);
-  }
+InsertEdit HnswIndex::PlanInsert(const float* v) const {
+  Rng stream = LevelStream(static_cast<VectorId>(capacity()));
+  return PlanInsertAt(v, LevelFromRng(stream));
 }
 
-VectorId HnswIndex::Add(const float* v) {
-  const VectorId id = data_.Append(v);
-  Rng stream = LevelStream(id);
-  const int level = LevelFromRng(stream);
-  Node node;
-  node.level = level;
-  node.adjacency.resize(level + 1);
-  nodes_.push_back(std::move(node));
-  CountLevel(level);
-  Link(id);
-  return id;
-}
-
-void HnswIndex::Link(VectorId id) {
-  const int level = nodes_[id].level;
+InsertEdit HnswIndex::PlanInsertAt(const float* v, int level) const {
   const EntryState state = LoadEntry();
-  if (state.entry == kInvalidVectorId) {
-    StoreEntry(EntryState{id, level});
-    return;
-  }
+  return FinishInsert(static_cast<VectorId>(capacity()), v, level,
+                      ChooseNeighbors(v, level, state), state);
+}
 
-  const float* query = data_.row(id);
-  VectorId cur = state.entry;
+std::vector<std::vector<VectorId>> HnswIndex::ChooseNeighbors(
+    const float* v, int level, EntryState state) const {
+  std::vector<std::vector<VectorId>> lists(level + 1);
+  if (state.entry == kInvalidVectorId) return lists;
 
   // Greedy descent through layers above the new node's level.
-  for (int l = state.level; l > level; --l) {
-    cur = GreedyClosest(query, cur, l);
-  }
+  VectorId cur = state.entry;
+  for (int l = state.level; l > level; --l) cur = GreedyClosest(v, cur, l);
 
-  // Beam search + heuristic linking at each level the node occupies. Each
-  // SearchLayer call advances the visited list to its own fresh epoch.
+  // Beam search + heuristic at each level the node occupies. Each
+  // SearchLayer call advances the visited list to its own fresh epoch. A
+  // level's lists are only written by the apply, and a level-l write never
+  // touches a level-(l-1) list, so planning every level against the graph
+  // before the insert gives the lists a level-by-level link would.
   auto visited = visited_pool_->Acquire(nodes_.size());
   for (int l = std::min(level, state.level); l >= 0; --l) {
     std::vector<Neighbor> cands =
-        SearchLayer(query, cur, params_.ef_construction, l, visited.get());
+        SearchLayer(v, cur, params_.ef_construction, l, visited.get());
     if (cands.empty()) continue;
     cur = cands.front().id;  // closest found feeds the next level down
-    Connect(id, l, SelectNeighbors(query, std::move(cands), params_.m));
+    lists[l] = SelectNeighbors(v, std::move(cands), params_.m);
   }
   visited_pool_->Release(std::move(visited));
+  return lists;
+}
 
-  if (level > state.level) {
-    StoreEntry(EntryState{id, level});
+InsertEdit HnswIndex::FinishInsert(VectorId id, const float* v, int level,
+                                   std::vector<std::vector<VectorId>> lists,
+                                   EntryState state) const {
+  InsertEdit edit;
+  edit.id = id;
+  edit.level = level;
+  // Each chosen neighbor is back-linked once per insert, so its final list
+  // is the LinkBack rule applied to its current one.
+  std::size_t links = 0;
+  for (const std::vector<VectorId>& list : lists) links += list.size();
+  edit.writes.reserve(links);
+  for (int l = 0; l <= level; ++l) {
+    for (VectorId nb : lists[l]) {
+      const std::vector<VectorId>& current = nodes_[nb].adjacency[l];
+      RemoveEdit::ListWrite& w = edit.writes.emplace_back();
+      w.node = nb;
+      w.level = l;
+      w.neighbors.reserve(current.size() + 1);  // room for the back-link
+      w.neighbors.assign(current.begin(), current.end());
+      LinkBack(&w.neighbors, nb, l, id, v);
+    }
+  }
+  std::sort(edit.writes.begin(), edit.writes.end(),
+            [](const RemoveEdit::ListWrite& a, const RemoveEdit::ListWrite& b) {
+              return std::pair(a.node, a.level) < std::pair(b.node, b.level);
+            });
+  edit.lists = std::move(lists);
+  const bool promote = state.entry == kInvalidVectorId || level > state.level;
+  edit.entry = promote ? id : state.entry;
+  edit.entry_level = promote ? level : state.level;
+  return edit;
+}
+
+VectorId HnswIndex::ApplyInsert(const InsertEdit& edit, const float* v) {
+  PPANNS_CHECK(edit.id == nodes_.size() && edit.level >= 0 &&
+               edit.lists.size() == static_cast<std::size_t>(edit.level) + 1 &&
+               edit.entry_level >= 0);
+  for (int l = 0; l <= edit.level; ++l) {
+    for (VectorId nb : edit.lists[l]) {
+      PPANNS_CHECK(nb != edit.id && EditLevel(nb, edit.id, edit.level) >= l);
+    }
+  }
+  CheckEdit(edit.writes, EntryState{edit.entry, edit.entry_level}, edit.id,
+            edit.level);
+  data_.Append(v);
+  Node node;
+  node.level = edit.level;
+  node.adjacency = edit.lists;
+  nodes_.push_back(std::move(node));
+  CountLevel(edit.level);
+  AssignLists(edit.writes);
+  StoreEntry(EntryState{edit.entry, edit.entry_level});
+  return edit.id;
+}
+
+void HnswIndex::CheckEdit(const std::vector<RemoveEdit::ListWrite>& writes,
+                          EntryState entry, VectorId added,
+                          int added_level) const {
+  for (const RemoveEdit::ListWrite& w : writes) {
+    PPANNS_CHECK(w.level >= 0 && w.level <= EditLevel(w.node, added, added_level));
+    for (VectorId nb : w.neighbors) {
+      // Every node holds level 0, so there the id range is the whole check.
+      PPANNS_CHECK(w.level == 0
+                       ? nb < nodes_.size() || nb == added
+                       : EditLevel(nb, added, added_level) >= w.level);
+    }
+  }
+  PPANNS_CHECK(entry.level < 0
+                   ? entry.entry == kInvalidVectorId
+                   : EditLevel(entry.entry, added, added_level) >= entry.level);
+}
+
+void HnswIndex::AssignLists(const std::vector<RemoveEdit::ListWrite>& writes) {
+  for (const RemoveEdit::ListWrite& w : writes) {
+    std::vector<VectorId>& list = nodes_[w.node].adjacency[w.level];
+    // Grow geometrically, as an in-place push_back would: most writes add
+    // one back-link, and an exact-size reallocation per write churns the
+    // heap the graph's lists live on.
+    if (w.neighbors.size() > list.capacity()) {
+      list.reserve(std::max(w.neighbors.size(), 2 * list.capacity()));
+    }
+    list.assign(w.neighbors.begin(), w.neighbors.end());
   }
 }
 
@@ -340,13 +412,10 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
   }
   threads = std::min(threads, n);
 
-  // Pre-phase (sequential): reserve every slot up front so the build phases
-  // never resize data_/nodes_ (the rows and the level/deleted fields are
-  // immutable while workers run). One level stream, seeded params.seed and
-  // mixed with the batch's base id so successive batches draw fresh
-  // sequences, assigns every node's level regardless of the thread count —
-  // half of the byte-reproducibility contract (the wave schedule below is
-  // the other half).
+  // One level stream, seeded params.seed and mixed with the batch's base id
+  // so successive batches draw fresh sequences, assigns every node's level
+  // regardless of the thread count — half of the byte-reproducibility
+  // contract (the wave schedule below is the other half).
   const VectorId base = static_cast<VectorId>(nodes_.size());
   std::vector<int> levels(n);
   {
@@ -355,74 +424,39 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
   }
   nodes_.reserve(nodes_.size() + n);
   data_.data().reserve((static_cast<std::size_t>(base) + n) * dim_);
-  for (std::size_t i = 0; i < n; ++i) {
-    data_.Append(batch.row(i));
-    Node node;
-    node.level = levels[i];
-    node.adjacency.resize(levels[i] + 1);
-    nodes_.push_back(std::move(node));
-    CountLevel(levels[i]);
-  }
-
-  // An empty index takes its first element as the seed entry point; it is
-  // then fully inserted (there are no peers to link it to yet).
-  VectorId first = base;
-  if (LoadEntry().entry == kInvalidVectorId) {
-    StoreEntry(EntryState{base, levels[0]});
-    ++first;
-  }
+  auto insert_one = [&](std::size_t i) {
+    ApplyInsert(PlanInsertAt(batch.row(i), levels[i]), batch.row(i));
+  };
 
   if (threads <= 1) {
     // Sequential path: one-at-a-time insertion (each insert sees every
-    // previous one).
-    for (std::size_t i = first - base; i < n; ++i) {
-      Link(base + static_cast<VectorId>(i));
-    }
+    // previous one), through the same plan/apply as Add.
+    for (std::size_t i = 0; i < n; ++i) insert_one(i);
     return;
   }
 
+  // An empty index takes its first element as the seed entry point (there
+  // are no peers to link it to yet).
+  std::size_t next = 0;
+  if (LoadEntry().entry == kInvalidVectorId) insert_one(next++);
+
   // Wave-barrier schedule, independent of the thread count: each wave's
   // items run a read-only search over the graph as committed at the wave
-  // start (same-wave peers are still edgeless, hence unreachable), planning
-  // per-level neighbor selections that depend only on that frozen snapshot;
-  // the plans then commit sequentially in ascending id order. Any T >= 2
-  // therefore produces identical bytes. Waves grow with the committed count
-  // (each insert still sees >= 2/3 of the graph a sequential insert would),
-  // so recall stays within noise of the sequential build while the search
-  // phase — the bulk of construction cost — parallelizes fully.
-  struct Planned {
-    VectorId id = kInvalidVectorId;
-    int top = -1;  // min(node level, entry level at wave start)
-    std::vector<std::vector<VectorId>> chosen;  // per level 0..top
-  };
-  std::size_t next = first - base;
+  // start (same-wave peers are not in it yet), choosing per-level neighbors
+  // that depend only on that frozen snapshot; the items then commit
+  // sequentially in ascending id order, each planning its back-links
+  // against the graph as committed so far. Any T >= 2 therefore produces
+  // identical bytes. Waves grow with the committed count (each insert still
+  // sees >= 2/3 of the graph a sequential insert would), so recall stays
+  // within noise of the sequential build while the search phase — the bulk
+  // of construction cost — parallelizes fully.
   while (next < n) {
-    std::size_t committed = static_cast<std::size_t>(base) + next;
     const std::size_t wave =
-        std::min(n - next, std::max<std::size_t>(1, committed / 2));
+        std::min(n - next, std::max<std::size_t>(1, capacity() / 2));
     const EntryState state = LoadEntry();
-    std::vector<Planned> plan(wave);
+    std::vector<std::vector<std::vector<VectorId>>> chosen(wave);
     auto plan_item = [&](std::size_t w) {
-      const VectorId id = base + static_cast<VectorId>(next + w);
-      Planned& p = plan[w];
-      p.id = id;
-      const int level = nodes_[id].level;
-      p.top = std::min(level, state.level);
-      p.chosen.resize(p.top + 1);
-      const float* query = data_.row(id);
-      VectorId cur = state.entry;
-      for (int l = state.level; l > level; --l) {
-        cur = GreedyClosest(query, cur, l);
-      }
-      auto visited = visited_pool_->Acquire(nodes_.size());
-      for (int l = p.top; l >= 0; --l) {
-        std::vector<Neighbor> cands =
-            SearchLayer(query, cur, params_.ef_construction, l, visited.get());
-        if (cands.empty()) continue;
-        cur = cands.front().id;
-        p.chosen[l] = SelectNeighbors(query, std::move(cands), params_.m);
-      }
-      visited_pool_->Release(std::move(visited));
+      chosen[w] = ChooseNeighbors(batch.row(next + w), levels[next + w], state);
     };
 
     const std::size_t wave_threads = std::min(threads, wave);
@@ -450,16 +484,15 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
       for (auto& w : workers) w.join();
     }
 
-    // Commit phase (sequential, ascending id): link each planned node and
-    // promote the entry point as levels rise. Back-links from Connect only
-    // touch frozen-graph nodes, so a same-wave peer's adjacency is never
-    // read before its own commit.
-    for (Planned& p : plan) {
-      for (int l = p.top; l >= 0; --l) {
-        if (!p.chosen[l].empty()) Connect(p.id, l, p.chosen[l]);
-      }
-      const int level = nodes_[p.id].level;
-      if (level > LoadEntry().level) StoreEntry(EntryState{p.id, level});
+    // Commit phase (sequential, ascending id). Back-links only touch
+    // frozen-graph nodes, so a same-wave peer's adjacency is never read
+    // before its own commit.
+    for (std::size_t w = 0; w < wave; ++w) {
+      const float* row = batch.row(next + w);
+      ApplyInsert(FinishInsert(static_cast<VectorId>(capacity()), row,
+                               levels[next + w], std::move(chosen[w]),
+                               LoadEntry()),
+                  row);
     }
     next += wave;
   }
@@ -653,31 +686,16 @@ std::vector<VectorId> HnswIndex::PlanRepair(VectorId v, int level,
 }
 
 void HnswIndex::ApplyRemove(const RemoveEdit& edit) {
-  // The edit is only meaningful on the index it was planned against (or a
-  // byte-identical copy); these checks keep any other index from being
-  // written out of bounds or left with a descent that cannot be walked.
   PPANNS_CHECK(edit.id < nodes_.size() && !nodes_[edit.id].deleted);
-  for (const RemoveEdit::ListWrite& w : edit.writes) {
-    PPANNS_CHECK(w.node < nodes_.size() && w.level >= 0 &&
-                 w.level <= nodes_[w.node].level);
-    for (VectorId nb : w.neighbors) {
-      PPANNS_CHECK(nb < nodes_.size() &&
-                   (w.level == 0 || nodes_[nb].level >= w.level));
-    }
-  }
-  PPANNS_CHECK(edit.entry_level < 0
-                   ? edit.entry == kInvalidVectorId
-                   : edit.entry < nodes_.size() &&
-                         nodes_[edit.entry].level >= edit.entry_level);
+  CheckEdit(edit.writes, EntryState{edit.entry, edit.entry_level},
+            kInvalidVectorId, -1);
   Node& gone = nodes_[edit.id];
   gone.deleted = true;
   ++num_deleted_;
   PPANNS_CHECK(static_cast<std::size_t>(gone.level) < level_counts_.size() &&
                level_counts_[gone.level] > 0);
   --level_counts_[gone.level];
-  for (const RemoveEdit::ListWrite& w : edit.writes) {
-    nodes_[w.node].adjacency[w.level] = w.neighbors;
-  }
+  AssignLists(edit.writes);
   gone.adjacency.assign(gone.adjacency.size(), {});
   StoreEntry(EntryState{edit.entry, edit.entry_level});
 }

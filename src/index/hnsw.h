@@ -7,8 +7,10 @@
 // the index itself is agnostic to what the float vectors are.
 //
 // Supported operations:
-//  * Add            — incremental insertion (Algorithm 1 of the HNSW paper,
-//                     with the diversifying neighbor-selection heuristic),
+//  * PlanInsert / ApplyInsert — incremental insertion (Algorithm 1 of the
+//                     HNSW paper, with the diversifying neighbor-selection
+//                     heuristic), split into a read-only deterministic plan
+//                     and a cheap apply; Add is the two in a row,
 //  * AddBatchParallel — bulk insertion whose neighbor searches fan across
 //                     build threads (a deterministic wave schedule); one
 //                     graph's construction scales with cores, compounding
@@ -79,13 +81,29 @@ struct RemoveEdit {
   int entry_level = -1;
 };
 
+/// The planned effect of one insertion (HnswIndex::PlanInsert): the new id
+/// and level, the new node's out-list per level (0..level), every existing
+/// list its back-links rewrite, sorted by (node, level), and the entry state
+/// afterwards. Like RemoveEdit, applying it does no distance work, and the
+/// same edit applied to byte-identical indexes (with the same vector) leaves
+/// them byte-identical. The flat backends' edit is just the id: `lists` and
+/// `writes` stay empty and allocate nothing.
+struct InsertEdit {
+  VectorId id = kInvalidVectorId;
+  int level = -1;
+  std::vector<std::vector<VectorId>> lists;
+  std::vector<RemoveEdit::ListWrite> writes;
+  VectorId entry = kInvalidVectorId;
+  int entry_level = -1;
+};
+
 /// The HNSW index. Owns a copy of the inserted vectors.
 ///
-/// Thread-safety contract: `Search` and `PlanRemove` are const and safe to
-/// call concurrently with each other. Every mutation (Add, AddBatchParallel,
-/// ApplyRemove) is exclusive against everything else, including a
-/// move of the index object; the parallel phases inside AddBatchParallel and
-/// PlanRemove only read the graph.
+/// Thread-safety contract: `Search`, `PlanInsert` and `PlanRemove` are const
+/// and safe to call concurrently with each other. Every mutation (Add,
+/// ApplyInsert, AddBatchParallel, ApplyRemove) is exclusive against
+/// everything else, including a move of the index object; the parallel
+/// phases inside AddBatchParallel and PlanRemove only read the graph.
 ///
 /// Every mutation is a pure function of the serialized state and its
 /// arguments: a node's level comes from a stream seeded by params.seed and
@@ -104,9 +122,27 @@ class HnswIndex {
   HnswIndex& operator=(const HnswIndex&) = delete;
 
   /// Inserts a vector, returning its id (dense, monotonically increasing;
-  /// ids of removed vectors are not reused). Its level is the first draw of
-  /// the level stream of a batch starting at that id (see AddBatchParallel).
-  VectorId Add(const float* v);
+  /// ids of removed vectors are not reused): ApplyInsert(PlanInsert(v), v).
+  VectorId Add(const float* v) { return ApplyInsert(PlanInsert(v), v); }
+
+  /// Plans the insertion of `v` without changing the index. The new node's
+  /// id is capacity() and its level the first draw of the level stream of a
+  /// batch starting at that id (see AddBatchParallel). The plan runs the
+  /// greedy descent and, at each level the node occupies, a beam search of
+  /// width ef_construction plus the selection heuristic, all against the
+  /// current graph; then, for every chosen neighbor, the list it will hold
+  /// once the back-link is added (appended if there is room, re-selected by
+  /// the heuristic otherwise), and the entry promotion. A pure function of
+  /// the graph and `v`, so equal indexes produce equal edits. Const, so it
+  /// may overlap Search; it must not overlap a mutation.
+  InsertEdit PlanInsert(const float* v) const;
+
+  /// Applies a PlanInsert edit made against this index's current state (or a
+  /// byte-identical copy of it) with the same vector `v`: appends the row and
+  /// the node, assigns the planned lists and stores the new entry state. No
+  /// distance work. Returns the new id. Exclusive against Search and all
+  /// other mutation.
+  VectorId ApplyInsert(const InsertEdit& edit, const float* v);
 
   /// Inserts all rows of `data` in order: AddBatchParallel with one thread.
   void AddBatch(const FloatMatrix& data);
@@ -124,10 +160,12 @@ class HnswIndex {
   /// produces the identical graph, and a serialized package built with
   /// build_threads=8 equals one built with build_threads=2 bit for bit
   /// (pinned by tests/index/hnsw_parallel_build_test.cc). num_threads == 1
-  /// keeps the original one-at-a-time insertion order and stays
+  /// inserts one at a time through the same plan/apply as Add and stays
   /// bit-identical to AddBatch on an empty index; its graph differs from the
   /// wave-built one (each insert sees all previous ones, a wave's items do
-  /// not see each other), with recall within noise of sequential.
+  /// not see each other), with recall within noise of sequential. A wave
+  /// item's back-links and entry promotion are planned at its commit, by the
+  /// same planner as PlanInsert, against the graph as committed so far.
   ///
   /// `pool` runs a wave's searches when calling from outside it; from inside
   /// one of its workers (the per-shard sharded build) or with a
@@ -291,12 +329,20 @@ class HnswIndex {
                                     std::size_t* dist_count = nullptr,
                                     SearchContext* ctx = nullptr) const;
 
+  /// The row of `id`; id == capacity() names the vector an insert is being
+  /// planned for, which is not stored yet, and returns `pending`.
+  const float* RowOf(VectorId id, const float* pending) const {
+    return id < data_.size() ? data_.row(id) : pending;
+  }
+
   /// The diversifying heuristic (Algorithm 4): selects up to `m` neighbors
   /// such that each kept candidate is closer to the base vector than to any
-  /// already-kept neighbor.
+  /// already-kept neighbor. `pending` is the row of a candidate that is not
+  /// stored yet (see RowOf).
   std::vector<VectorId> SelectNeighbors(const float* base,
                                         std::vector<Neighbor> candidates,
-                                        std::size_t m) const;
+                                        std::size_t m,
+                                        const float* pending = nullptr) const;
 
   std::size_t MaxDegree(int level) const {
     return level == 0 ? params_.max_m0() : params_.m;
@@ -304,13 +350,47 @@ class HnswIndex {
 
   /// Adds the back-link `src` to `list`, the out-list of `owner` at `level`:
   /// nothing if present, appended if there is room, otherwise the list is
-  /// re-selected with the heuristic over its edges plus `src`.
+  /// re-selected with the heuristic over its edges plus `src`. `pending` is
+  /// src's row when src is not stored yet (see RowOf).
   void LinkBack(std::vector<VectorId>* list, VectorId owner, int level,
-                VectorId src) const;
+                VectorId src, const float* pending = nullptr) const;
 
-  /// Links `id` at `level` to `neighbors` and back, shrinking overflowing
-  /// adjacency lists with the heuristic.
-  void Connect(VectorId id, int level, const std::vector<VectorId>& neighbors);
+  /// The search half of an insert at `level`: greedy descent from `state`,
+  /// then beam search + heuristic at each level the node occupies, against
+  /// the current graph. Returns the out-list per level 0..level (empty above
+  /// the entry level).
+  std::vector<std::vector<VectorId>> ChooseNeighbors(const float* v, int level,
+                                                     EntryState state) const;
+
+  /// The rest of an insert plan for node `id` (row `v`, not stored yet) with
+  /// out-lists `lists`: each chosen neighbor's list after LinkBack, against
+  /// the current graph and sorted by (node, level), and the entry promotion
+  /// against `state`.
+  InsertEdit FinishInsert(VectorId id, const float* v, int level,
+                          std::vector<std::vector<VectorId>> lists,
+                          EntryState state) const;
+
+  /// PlanInsert at a given level: what Add and the one-thread batch build
+  /// plan with.
+  InsertEdit PlanInsertAt(const float* v, int level) const;
+
+  /// The level of `v` as an edit sees it: the node an insert appends (`added`
+  /// at `added_level`) counts, and an id the index does not hold is -1.
+  int EditLevel(VectorId v, VectorId added, int added_level) const {
+    if (v == added) return added_level;
+    return v < nodes_.size() ? nodes_[v].level : -1;
+  }
+
+  /// Checks an edit's list writes and entry state against this index before
+  /// any of it is applied (see EditLevel for `added`): every written node
+  /// holds the written level, every neighbor reaches it, and the entry holds
+  /// the entry level. Keeps an edit planned against another index from
+  /// writing out of bounds or leaving a descent that cannot be walked.
+  void CheckEdit(const std::vector<RemoveEdit::ListWrite>& writes,
+                 EntryState entry, VectorId added, int added_level) const;
+
+  /// Assigns every planned list of a checked edit.
+  void AssignLists(const std::vector<RemoveEdit::ListWrite>& writes);
 
   /// PlanRemove's repair of in-neighbor `v` at `level` against the frozen
   /// graph: descent from `state`, a beam search at `level` that may pick
@@ -319,12 +399,6 @@ class HnswIndex {
   std::vector<VectorId> PlanRepair(VectorId v, int level, VectorId removed,
                                    EntryState state,
                                    VisitedList* visited) const;
-
-  /// Links registered node `id` (slot, level and vector row already exist)
-  /// into the graph: greedy descent, then beam search + heuristic linking at
-  /// each level it occupies, then promotion to entry point if it is the
-  /// highest. The body of Add and of the one-thread batch build.
-  void Link(VectorId id);
 
   std::size_t dim_;
   HnswParams params_;

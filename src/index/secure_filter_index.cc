@@ -21,7 +21,12 @@ class HnswFilterIndex final : public SecureFilterIndex {
   explicit HnswFilterIndex(HnswIndex index) : index_(std::move(index)) {}
 
   IndexKind kind() const override { return IndexKind::kHnsw; }
-  VectorId Add(const float* v) override { return index_.Add(v); }
+  InsertEdit PlanInsert(const float* v) const override {
+    return index_.PlanInsert(v);
+  }
+  void ApplyInsert(const InsertEdit& edit, const float* v) override {
+    index_.ApplyInsert(edit, v);
+  }
   Result<RemoveEdit> PlanRemove(VectorId id) const override {
     return index_.PlanRemove(id);
   }
@@ -75,7 +80,10 @@ class IvfFilterIndex final : public SecureFilterIndex {
   explicit IvfFilterIndex(IvfIndex index) : index_(std::move(index)) {}
 
   IndexKind kind() const override { return IndexKind::kIvf; }
-  VectorId Add(const float* v) override { return index_.Add(v); }
+  void ApplyInsert(const InsertEdit& edit, const float* v) override {
+    const VectorId id = index_.Add(v);
+    PPANNS_CHECK(id == edit.id);
+  }
   void ApplyRemove(const RemoveEdit& edit) override {
     PPANNS_CHECK(index_.Remove(edit.id).ok());
   }
@@ -118,7 +126,10 @@ class LshFilterIndex final : public SecureFilterIndex {
   explicit LshFilterIndex(LshIndex index) : index_(std::move(index)) {}
 
   IndexKind kind() const override { return IndexKind::kLsh; }
-  VectorId Add(const float* v) override { return index_.Add(v); }
+  void ApplyInsert(const InsertEdit& edit, const float* v) override {
+    const VectorId id = index_.Add(v);
+    PPANNS_CHECK(id == edit.id);
+  }
   void ApplyRemove(const RemoveEdit& edit) override {
     PPANNS_CHECK(index_.Remove(edit.id).ok());
   }
@@ -163,7 +174,10 @@ class BruteForceFilterIndex final : public SecureFilterIndex {
       : index_(std::move(index)) {}
 
   IndexKind kind() const override { return IndexKind::kBruteForce; }
-  VectorId Add(const float* v) override { return index_.Add(v); }
+  void ApplyInsert(const InsertEdit& edit, const float* v) override {
+    const VectorId id = index_.Add(v);
+    PPANNS_CHECK(id == edit.id);
+  }
   void ApplyRemove(const RemoveEdit& edit) override {
     PPANNS_CHECK(index_.Remove(edit.id).ok());
   }
@@ -197,6 +211,13 @@ class BruteForceFilterIndex final : public SecureFilterIndex {
 };
 
 }  // namespace
+
+InsertEdit SecureFilterIndex::PlanInsert(const float* v) const {
+  (void)v;
+  InsertEdit edit;
+  edit.id = static_cast<VectorId>(capacity());
+  return edit;
+}
 
 Result<RemoveEdit> SecureFilterIndex::PlanRemove(VectorId id) const {
   if (id >= capacity()) {

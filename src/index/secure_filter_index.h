@@ -57,8 +57,30 @@ class SecureFilterIndex {
 
   virtual IndexKind kind() const = 0;
 
-  /// Inserts a vector (length dim()), returning its dense id.
-  virtual VectorId Add(const float* v) = 0;
+  /// Inserts a vector (length dim()), returning its dense id:
+  /// ApplyInsert(PlanInsert(v), v).
+  VectorId Add(const float* v) {
+    const InsertEdit edit = PlanInsert(v);
+    ApplyInsert(edit, v);
+    return edit.id;
+  }
+
+  /// Plans the insertion of `v` (length dim()) without changing the index;
+  /// the edit's id is capacity(). The plan is deterministic: equal indexes
+  /// produce equal edits. HNSW does all of its linking work here (the
+  /// descent, the per-level beam searches, the neighbor selection and the
+  /// back-links; see HnswIndex::PlanInsert) and returns every adjacency list
+  /// it writes. The flat backends (ivf, lsh, brute) return the id alone, and
+  /// planning it allocates nothing.
+  virtual InsertEdit PlanInsert(const float* v) const;
+
+  /// Applies an edit planned against this index, or against a byte-identical
+  /// copy of it, with the same vector `v` — the replicas of a shard apply the
+  /// edit their primary planned. HNSW appends the row and assigns the
+  /// planned lists (no distance work); the flat backends run their own
+  /// insert, which is already cheap, and check that it lands on the planned
+  /// id.
+  virtual void ApplyInsert(const InsertEdit& edit, const float* v) = 0;
 
   /// Inserts all rows of `data` in order.
   void AddBatch(const FloatMatrix& data) {

@@ -715,6 +715,128 @@ TEST(ReplicatedDeterminismTest, ReplicasAndWalReplayMatchLiveBytes) {
   fs::remove_all(root);
 }
 
+// The property behind replication, failover and recovery, over seeded random
+// mutation sequences at several shapes (shards x replicas). Each sequence
+// mixes inserts and deletes with an occasional compaction sweep or shard
+// split. Compaction and split are not WAL records, so each one is followed by
+// a checkpoint: replay reproduces the live package only from a checkpoint
+// taken after the last structural change. Every sequence runs twice, once
+// from the calling thread (the delete planner fans out across the global
+// pool) and once inside a pool task (ParallelFor runs inline, so the pool is
+// one wide). Three things must hold: every replica serializes to its
+// primary's bytes, both runs end in equal package bytes, and replaying the
+// WAL on a fresh service loaded from the last checkpoint reproduces the live
+// package.
+TEST(ReplicatedDeterminismTest, RandomMutationSequencesMatchEverywhere) {
+  namespace fs = std::filesystem;
+  struct Shape {
+    std::uint32_t shards;
+    std::uint32_t replicas;
+  };
+  const std::size_t n = 600, num_ops = 80;
+  const fs::path root = fs::temp_directory_path() / "ppanns_mutation_property";
+  fs::remove_all(root);
+
+  auto load = [](const std::vector<std::uint8_t>& bytes) {
+    BinaryReader r(bytes);
+    auto db = ShardedEncryptedDatabase::Deserialize(&r);
+    PPANNS_CHECK(db.ok());
+    return PpannsService{ShardedCloudServer(std::move(*db))};
+  };
+  auto package_bytes = [](const PpannsService& service) {
+    BinaryWriter w;
+    service.sharded_server().SerializeDatabase(&w);
+    return w.TakeBuffer();
+  };
+
+  for (const Shape shape : {Shape{1, 3}, Shape{2, 2}, Shape{3, 2}}) {
+    for (const std::uint64_t seed : {51u, 52u, 53u}) {
+      const std::string label = std::to_string(shape.shards) + "x" +
+                                std::to_string(shape.replicas) + " seed " +
+                                std::to_string(seed);
+      const Dataset ds = MakeData(n, num_ops, seed);
+      DataOwner owner = MakeOwner(
+          BaseParams(IndexKind::kHnsw, shape.shards, shape.replicas, seed));
+      BinaryWriter base;
+      owner.EncryptAndIndexSharded(ds.base).Serialize(&base);
+      // Encrypted once, so both runs insert the same ciphertexts.
+      std::vector<EncryptedVector> fresh;
+      for (std::size_t i = 0; i < ds.queries.size(); ++i) {
+        fresh.push_back(owner.EncryptOne(ds.queries.row(i)));
+      }
+
+      // One run of the sequence in `dir`; returns the live package bytes.
+      auto run = [&](const fs::path& dir) {
+        fs::create_directories(dir);
+        const std::string wal_dir = (dir / "wal").string();
+        const std::string snapshot = (dir / "checkpoint.ppanns").string();
+        std::vector<std::uint8_t> restart = base.buffer();
+        PpannsService live = load(restart);
+        PPANNS_CHECK(live.AttachWal(wal_dir).ok());
+        Rng rng(seed * 7919);
+        std::vector<char> deleted(n, 0);
+        std::size_t next_insert = 0;
+        for (std::size_t op = 0; op < num_ops; ++op) {
+          const std::uint64_t pick = rng.UniformInt(0, 19);
+          if (pick == 0) {
+            ShardedCloudServer& cluster = live.sharded_server_mutable();
+            if (rng.UniformInt(0, 1) == 0) {
+              ShardedCloudServer::MaintenanceOptions compact;
+              compact.compact_threshold = 0.0;
+              compact.build_threads = 2;
+              EXPECT_TRUE(cluster.MaybeCompact(compact).ok()) << label;
+            } else {
+              const auto s = static_cast<std::size_t>(
+                  rng.UniformInt(0, cluster.num_shards() - 1));
+              EXPECT_TRUE(cluster.SplitShard(s).ok()) << label;
+            }
+            PPANNS_CHECK(live.Checkpoint(snapshot).ok());
+            auto saved = ReadFile(snapshot);
+            PPANNS_CHECK(saved.ok());
+            restart = std::move(*saved);
+          } else if (pick < 9) {
+            auto id = live.Insert(fresh[next_insert++ % fresh.size()]);
+            EXPECT_TRUE(id.ok()) << label;
+            deleted.push_back(0);
+          } else {
+            VectorId id = 0;
+            do {
+              id = static_cast<VectorId>(rng.UniformInt(0, deleted.size() - 1));
+            } while (deleted[id]);
+            deleted[id] = 1;
+            EXPECT_TRUE(live.Delete(id).ok()) << label;
+          }
+        }
+
+        const ShardedCloudServer& cluster = live.sharded_server();
+        for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+          BinaryWriter primary;
+          cluster.replica(s, 0).SerializeDatabase(&primary);
+          for (std::size_t r = 1; r < cluster.replication_factor(); ++r) {
+            BinaryWriter replica;
+            cluster.replica(s, r).SerializeDatabase(&replica);
+            EXPECT_EQ(replica.buffer(), primary.buffer())
+                << label << ": shard " << s << " replica " << r << " diverged";
+          }
+        }
+        const std::vector<std::uint8_t> bytes = package_bytes(live);
+        PpannsService replayed = load(restart);
+        EXPECT_TRUE(replayed.ReplayWal(wal_dir).ok()) << label;
+        EXPECT_EQ(package_bytes(replayed), bytes)
+            << label << ": WAL replay diverged from the live package";
+        return bytes;
+      };
+
+      const std::vector<std::uint8_t> calling = run(root / "calling");
+      const std::vector<std::uint8_t> pooled =
+          ThreadPool::Global().Async([&] { return run(root / "pooled"); }).get();
+      EXPECT_EQ(calling, pooled)
+          << label << ": the pool-task run diverged from the calling thread";
+      fs::remove_all(root);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ThreadPool futures
 

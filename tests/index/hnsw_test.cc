@@ -426,6 +426,64 @@ TEST(HnswDeterminismTest, RemoveBytesIndependentOfPoolWidth) {
   EXPECT_EQ(wide, narrow);
 }
 
+// An insert is planned read-only and applied as an edit, so a shard can plan
+// on its primary once and apply the same edit to every replica. The plan
+// leaves the index's bytes untouched, and applying the edit (with the same
+// vector) to the index and to a deserialized copy leaves both byte-identical.
+// Deletes are interleaved, the entry point first, so inserts also plan
+// against repaired lists and a re-seated entry point.
+TEST(HnswDeterminismTest, PlannedInsertAppliesIdenticallyToACopy) {
+  const std::size_t n = 500, d = 10;
+  const std::size_t num_inserts = 240, num_deletes = 60;
+  FloatMatrix data = RandomData(n, d, 61);
+  FloatMatrix extra = RandomData(num_inserts, d, 62);
+  HnswIndex a(d, HnswParams{.m = 6, .ef_construction = 60, .seed = 9});
+  a.AddBatch(data);
+  auto bytes = [](const HnswIndex& index) {
+    BinaryWriter w;
+    index.Serialize(&w);
+    return w.TakeBuffer();
+  };
+  const std::vector<std::uint8_t> snapshot = bytes(a);
+  BinaryReader reader(snapshot);
+  Result<HnswIndex> copy = HnswIndex::Deserialize(&reader);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  HnswIndex& b = *copy;
+
+  Rng rng(63);
+  std::size_t inserts = 0, deletes = 0;
+  while (inserts < num_inserts || deletes < num_deletes) {
+    const std::vector<std::uint8_t> before = bytes(a);
+    const bool remove = inserts == num_inserts ||
+                        (deletes < num_deletes && rng.UniformInt(0, 4) == 0);
+    if (remove) {
+      VectorId id = a.entry_point();
+      if (deletes > 0) {
+        do {
+          id = static_cast<VectorId>(rng.UniformInt(0, a.capacity() - 1));
+        } while (a.IsDeleted(id));
+      }
+      Result<RemoveEdit> edit = a.PlanRemove(id);
+      ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+      ASSERT_EQ(bytes(a), before) << "PlanRemove changed the index";
+      a.ApplyRemove(*edit);
+      b.ApplyRemove(*edit);
+      ++deletes;
+    } else {
+      const float* v = extra.row(inserts++);
+      const InsertEdit edit = a.PlanInsert(v);
+      ASSERT_EQ(bytes(a), before) << "PlanInsert changed the index";
+      ASSERT_EQ(edit.id, a.capacity());
+      EXPECT_EQ(a.ApplyInsert(edit, v), edit.id);
+      EXPECT_EQ(b.ApplyInsert(edit, v), edit.id);
+    }
+    ASSERT_EQ(bytes(a), bytes(b))
+        << "copy diverged after " << inserts << " inserts, " << deletes
+        << " deletes";
+  }
+  EXPECT_EQ(a.size(), n + num_inserts - num_deletes);
+}
+
 TEST(HnswTest, SerializeRoundTrip) {
   const std::size_t n = 400, d = 8, k = 5;
   FloatMatrix data = RandomData(n, d, 17);
