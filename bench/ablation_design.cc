@@ -1,10 +1,10 @@
-// Ablation bench for the design choices DESIGN.md calls out:
+// Ablation bench for this implementation's design choices:
 //  (a) graph built over SAP ciphertexts vs plaintext vectors (privacy/
 //      accuracy cost of the Section V-A choice),
 //  (b) comparison-heap refine (O(k' log k) DCE calls) vs naive full sort of
 //      the candidate set (O(k' log k') calls),
 //  (c) DCE key matrices from the conditioned Q*D construction vs raw
-//      Gaussian LU inverses (numerical-robustness rationale in DESIGN.md).
+//      Gaussian LU inverses (numerical robustness on near-tie comparisons).
 
 #include <algorithm>
 #include <cstdio>
@@ -145,7 +145,7 @@ void AblateKeyConditioning() {
 
 int main() {
   PrintBanner("Ablations: design choices of this implementation",
-              "DESIGN.md section 3 (ablation row)");
+              "docs/benchmarks.md (ablation_design)");
   AblateGraphSubstrate();
   AblateRefineStrategy();
   AblateKeyConditioning();

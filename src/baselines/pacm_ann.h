@@ -5,14 +5,14 @@
 // drives the greedy graph walk: every beam expansion privately fetches the
 // expanded node's adjacency list and vector via PIR, in interactive rounds.
 //
-// Reimplementation per DESIGN.md: the graph walk runs for real over our
-// HNSW graph (counting every visited node — this is genuine user-side
-// compute); each visited node's fetch is charged one sublinear PIR server
-// scan (executed as a real O(sqrt(n)) memory pass, matching PACMANN's
-// sublinear PIR) plus the transfer of the node payload, and the walk
-// proceeds in batched rounds. This preserves the structural costs Fig. 7 /
-// Fig. 9 attribute to PACM-ANN: many interactive rounds and user-side
-// distance computations.
+// Reimplementation (compared in fig7_baselines, docs/benchmarks.md): the
+// graph walk runs for real over our HNSW graph (counting every visited node
+// — this is genuine user-side compute); each visited node's fetch is
+// charged one sublinear PIR server scan (executed as a real O(sqrt(n))
+// memory pass, matching PACMANN's sublinear PIR) plus the transfer of the
+// node payload, and the walk proceeds in batched rounds. This preserves the
+// structural costs Fig. 7 / Fig. 9 attribute to PACM-ANN: many interactive
+// rounds and user-side distance computations.
 
 #ifndef PPANNS_BASELINES_PACM_ANN_H_
 #define PPANNS_BASELINES_PACM_ANN_H_

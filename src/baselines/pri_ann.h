@@ -4,12 +4,13 @@
 // private information retrieval, so the server learns neither the query nor
 // which buckets matched; the user ranks the retrieved candidates locally.
 //
-// Reimplementation per DESIGN.md: LSH candidate generation and the user-side
-// ranking run for real; the PIR layer is modeled by its dominant costs —
-// the server performs work linear in the bucket-table size per retrieved
-// table (executed as a real memory scan, not a sleep), and responses carry a
-// constant ciphertext-expansion factor. One round of communication, as in
-// the original (distributed point functions; no server-to-server traffic).
+// Reimplementation (compared in fig7_baselines, docs/benchmarks.md): LSH
+// candidate generation and the user-side ranking run for real; the PIR layer
+// is modeled by its dominant costs — the server performs work linear in the
+// bucket-table size per retrieved table (executed as a real memory scan, not
+// a sleep), and responses carry a constant ciphertext-expansion factor. One
+// round of communication, as in the original (distributed point functions;
+// no server-to-server traffic).
 
 #ifndef PPANNS_BASELINES_PRI_ANN_H_
 #define PPANNS_BASELINES_PRI_ANN_H_

@@ -4,8 +4,9 @@
 // an LSH index supplies candidates server-side; the *user* downloads the
 // encrypted candidates, decrypts them, and performs the refine phase locally.
 //
-// Reimplementation per DESIGN.md: the LSH index, AES layer, candidate
-// lookup, user-side decrypt + exact ranking all execute for real; the
+// Reimplementation (compared in fig7_baselines, docs/benchmarks.md): the
+// LSH index, AES layer, candidate lookup, user-side decrypt + exact ranking
+// all execute for real; the
 // client<->server link is accounted through netsim (1 round; candidate blobs
 // dominate the traffic). This preserves what Fig. 7 / Fig. 9 measure: heavy
 // user-side cost and communication that grows with the candidate count

@@ -2,8 +2,8 @@
 // .bvecs / .ivecs, as used by SIFT1M/GIST/Deep) plus whole-file helpers.
 //
 // When real dataset files are present under data/, bench binaries load them;
-// otherwise the synthetic generators in src/datagen are used (see DESIGN.md
-// substitution table).
+// otherwise the synthetic generators in src/datagen are used (see
+// src/datagen/synthetic.h).
 
 #ifndef PPANNS_COMMON_IO_H_
 #define PPANNS_COMMON_IO_H_

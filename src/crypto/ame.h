@@ -3,7 +3,7 @@
 // distance comparison baseline.
 //
 // The TDSC construction itself is closed-source and not fully specified in
-// this paper; per DESIGN.md we implement a faithful-COST emulation with the
+// this paper, so we implement a faithful-COST emulation with the
 // exact shapes and operation counts Section III-C states:
 //
 //   * secret key: 32 random invertible matrices in R^{(2d+6) x (2d+6)}

@@ -13,9 +13,9 @@
 //   Add:     Enc(m1) * Enc(m2) mod n^2        = Enc(m1 + m2)
 //   ScalarMul: Enc(m)^k mod n^2               = Enc(k * m)
 //
-// The substitution for SEAL/HElib (unavailable offline) is documented in
-// DESIGN.md; Paillier is the classic instantiation of the HE-based secure
-// kNN protocols the paper cites ([34], [42], [43]).
+// Paillier stands in for SEAL/HElib, which are unavailable offline; it is
+// the classic instantiation of the HE-based secure kNN protocols the paper
+// cites ([34], [42], [43]).
 
 #ifndef PPANNS_CRYPTO_PAILLIER_H_
 #define PPANNS_CRYPTO_PAILLIER_H_

@@ -1,6 +1,6 @@
 // Synthetic dataset generators matched to the paper's evaluation datasets
 // (Table I). The real SIFT1M/GIST/GloVe/Deep1M files are public but not
-// available offline; per the substitution table in DESIGN.md we generate
+// available offline, so we generate
 // Gaussian-mixture data matched on dimension, value range and cluster
 // structure, and fall back to the real .fvecs/.bvecs files when present.
 //

@@ -5,6 +5,7 @@
 #include <future>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -21,6 +22,9 @@ struct FartherFirst {
     return a.distance > b.distance || (a.distance == b.distance && a.id > b.id);
   }
 };
+
+/// The largest m Deserialize accepts (a level-0 row is 2m + 1 ids).
+constexpr std::uint64_t kMaxLoadM = 512;
 
 }  // namespace
 
@@ -64,6 +68,7 @@ HnswIndex::HnswIndex(HnswIndex&& other) noexcept
       level_mult_(other.level_mult_),
       data_(std::move(other.data_)),
       nodes_(std::move(other.nodes_)),
+      level0_(std::move(other.level0_)),
       entry_state_(other.entry_state_.load(std::memory_order_relaxed)),
       num_deleted_(other.num_deleted_),
       level_counts_(std::move(other.level_counts_)),
@@ -76,6 +81,7 @@ HnswIndex& HnswIndex::operator=(HnswIndex&& other) noexcept {
   level_mult_ = other.level_mult_;
   data_ = std::move(other.data_);
   nodes_ = std::move(other.nodes_);
+  level0_ = std::move(other.level0_);
   entry_state_.store(other.entry_state_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   num_deleted_ = other.num_deleted_;
@@ -109,7 +115,7 @@ VectorId HnswIndex::GreedyClosest(const float* query, VectorId start,
     improved = false;
     // Score the whole adjacency through the batched kernel, then apply the
     // same sequential improve rule — identical hops, fewer pointer chases.
-    const auto& adj = nodes_[cur].adjacency[level];
+    const std::span<const VectorId> adj = List(cur, level);
     for (std::size_t i = 0; i < adj.size(); i += kKernelBlock) {
       const std::size_t bn = std::min(kKernelBlock, adj.size() - i);
       for (std::size_t j = 0; j < bn; ++j) rows[j] = data_.row(adj[i + j]);
@@ -165,7 +171,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query, VectorId entry,
     // probe keeps node granularity — collection slot bn answers exactly the
     // probe the unblocked loop would have asked for that node — so blocked
     // and unblocked scans stop on the same node and return identical ids.
-    const auto& adj = nodes_[cand.id].adjacency[level];
+    const std::span<const VectorId> adj = List(cand.id, level);
     VectorId block[kKernelBlock];
     const float* rows[kKernelBlock];
     float dists[kKernelBlock];
@@ -319,19 +325,21 @@ InsertEdit HnswIndex::FinishInsert(VectorId id, const float* v, int level,
   edit.id = id;
   edit.level = level;
   // Each chosen neighbor is back-linked once per insert, so its final list
-  // is the LinkBack rule applied to its current one.
+  // is the LinkBack rule applied to its current one. A full list whose
+  // re-selection keeps it as it is carries no write.
   std::size_t links = 0;
   for (const std::vector<VectorId>& list : lists) links += list.size();
   edit.writes.reserve(links);
   for (int l = 0; l <= level; ++l) {
     for (VectorId nb : lists[l]) {
-      const std::vector<VectorId>& current = nodes_[nb].adjacency[l];
+      const std::span<const VectorId> current = List(nb, l);
       RemoveEdit::ListWrite& w = edit.writes.emplace_back();
       w.node = nb;
       w.level = l;
       w.neighbors.reserve(current.size() + 1);  // room for the back-link
       w.neighbors.assign(current.begin(), current.end());
       LinkBack(&w.neighbors, nb, l, id, v);
+      if (std::ranges::equal(w.neighbors, current)) edit.writes.pop_back();
     }
   }
   std::sort(edit.writes.begin(), edit.writes.end(),
@@ -350,6 +358,7 @@ VectorId HnswIndex::ApplyInsert(const InsertEdit& edit, const float* v) {
                edit.lists.size() == static_cast<std::size_t>(edit.level) + 1 &&
                edit.entry_level >= 0);
   for (int l = 0; l <= edit.level; ++l) {
+    PPANNS_CHECK(edit.lists[l].size() <= MaxDegree(l));
     for (VectorId nb : edit.lists[l]) {
       PPANNS_CHECK(nb != edit.id && EditLevel(nb, edit.id, edit.level) >= l);
     }
@@ -359,8 +368,10 @@ VectorId HnswIndex::ApplyInsert(const InsertEdit& edit, const float* v) {
   data_.Append(v);
   Node node;
   node.level = edit.level;
-  node.adjacency = edit.lists;
+  node.upper.assign(edit.lists.begin() + 1, edit.lists.end());
   nodes_.push_back(std::move(node));
+  AppendRow();
+  SetList(edit.id, 0, edit.lists[0]);
   CountLevel(edit.level);
   AssignLists(edit.writes);
   StoreEntry(EntryState{edit.entry, edit.entry_level});
@@ -371,7 +382,9 @@ void HnswIndex::CheckEdit(const std::vector<RemoveEdit::ListWrite>& writes,
                           EntryState entry, VectorId added,
                           int added_level) const {
   for (const RemoveEdit::ListWrite& w : writes) {
-    PPANNS_CHECK(w.level >= 0 && w.level <= EditLevel(w.node, added, added_level));
+    PPANNS_CHECK(w.level >= 0 &&
+                 w.level <= EditLevel(w.node, added, added_level) &&
+                 w.neighbors.size() <= MaxDegree(w.level));
     for (VectorId nb : w.neighbors) {
       // Every node holds level 0, so there the id range is the whole check.
       PPANNS_CHECK(w.level == 0
@@ -386,15 +399,25 @@ void HnswIndex::CheckEdit(const std::vector<RemoveEdit::ListWrite>& writes,
 
 void HnswIndex::AssignLists(const std::vector<RemoveEdit::ListWrite>& writes) {
   for (const RemoveEdit::ListWrite& w : writes) {
-    std::vector<VectorId>& list = nodes_[w.node].adjacency[w.level];
-    // Grow geometrically, as an in-place push_back would: most writes add
-    // one back-link, and an exact-size reallocation per write churns the
-    // heap the graph's lists live on.
-    if (w.neighbors.size() > list.capacity()) {
-      list.reserve(std::max(w.neighbors.size(), 2 * list.capacity()));
-    }
-    list.assign(w.neighbors.begin(), w.neighbors.end());
+    SetList(w.node, w.level, w.neighbors);
   }
+}
+
+void HnswIndex::SetList(VectorId v, int level, std::span<const VectorId> list) {
+  if (level > 0) {
+    nodes_[v].upper[level - 1].assign(list.begin(), list.end());
+    return;
+  }
+  VectorId* row = level0_.data() + v * Stride();
+  row[0] = static_cast<VectorId>(list.size());
+  std::copy(list.begin(), list.end(), row + 1);
+  std::fill(row + 1 + list.size(), row + Stride(), kInvalidVectorId);
+}
+
+void HnswIndex::AppendRow() {
+  // resize grows the block geometrically, so appends stay amortized O(1).
+  level0_.resize(level0_.size() + Stride(), kInvalidVectorId);
+  level0_[level0_.size() - Stride()] = 0;
 }
 
 void HnswIndex::AddBatch(const FloatMatrix& batch) {
@@ -423,6 +446,7 @@ void HnswIndex::AddBatchParallel(RowView batch, ThreadPool* pool,
     for (std::size_t i = 0; i < n; ++i) levels[i] = LevelFromRng(level_stream);
   }
   nodes_.reserve(nodes_.size() + n);
+  level0_.reserve((nodes_.size() + n) * Stride());
   data_.data().reserve((static_cast<std::size_t>(base) + n) * dim_);
   auto insert_one = [&](std::size_t i) {
     ApplyInsert(PlanInsertAt(batch.row(i), levels[i]), batch.row(i));
@@ -540,13 +564,25 @@ Result<RemoveEdit> HnswIndex::PlanRemove(VectorId id) const {
   using Slot = std::pair<VectorId, int>;  // (node, level)
   std::vector<Slot> repairs;
   std::mutex repairs_mu;
+  const std::size_t stride = Stride();
   pool.ParallelFor(nodes_.size(), [&](std::size_t begin, std::size_t end) {
     std::vector<Slot> local;
+    // Level 0 compares every slot of each fixed-stride row, without a branch
+    // or the count: unused slots hold kInvalidVectorId, which is never `id`.
+    // The loop vectorizes; only a hit reads the node.
+    const VectorId* row = level0_.data() + begin * stride + 1;
+    for (std::size_t v = begin; v < end; ++v, row += stride) {
+      unsigned hit = 0;
+      for (std::size_t j = 0; j + 1 < stride; ++j) hit |= row[j] == id;
+      if (hit != 0 && v != id && !nodes_[v].deleted) {
+        local.emplace_back(static_cast<VectorId>(v), 0);
+      }
+    }
     for (std::size_t v = begin; v < end; ++v) {
-      if (v == id || nodes_[v].deleted) continue;
       const Node& node = nodes_[v];
-      for (int l = 0; l <= node.level; ++l) {
-        const auto& adj = node.adjacency[l];
+      if (v == id || node.deleted) continue;
+      for (int l = 1; l <= node.level; ++l) {
+        const std::vector<VectorId>& adj = node.upper[l - 1];
         if (std::find(adj.begin(), adj.end(), id) != adj.end()) {
           local.emplace_back(static_cast<VectorId>(v), l);
         }
@@ -571,15 +607,21 @@ Result<RemoveEdit> HnswIndex::PlanRemove(VectorId id) const {
     visited_pool_->Release(std::move(visited));
   });
 
-  // 3. Back-links from each repaired node to its new neighbors, grouped by
-  // (target, level). A group starts from the target's list — the planned
-  // one if the target was itself repaired at that level — and takes its
-  // sources in ascending order. Each group owns one list, so the groups run
-  // in parallel and stay deterministic.
+  // 3. Back-links from each repaired node to the neighbors it gained,
+  // grouped by (target, level). An edge the node kept had its back-link
+  // offered when the edge was made, by the insert or repair that made it. A
+  // group starts from the target's list — the planned one if the target was
+  // itself repaired at that level — and takes its sources in ascending
+  // order. Each group owns one list, so the groups run in parallel and stay
+  // deterministic.
   std::vector<std::tuple<VectorId, int, VectorId>> links;  // (target, level, src)
   for (std::size_t i = 0; i < repairs.size(); ++i) {
+    const auto [src, level] = repairs[i];
+    const std::span<const VectorId> kept = List(src, level);
     for (VectorId nb : planned[i]) {
-      links.emplace_back(nb, repairs[i].second, repairs[i].first);
+      if (std::find(kept.begin(), kept.end(), nb) == kept.end()) {
+        links.emplace_back(nb, level, src);
+      }
     }
   }
   std::sort(links.begin(), links.end());
@@ -611,9 +653,10 @@ Result<RemoveEdit> HnswIndex::PlanRemove(VectorId id) const {
       if (it != repairs.end() && *it == target) {
         out = &edit.writes[it - repairs.begin()];
       } else {
-        *out = RemoveEdit::ListWrite{
-            target.first, target.second,
-            nodes_[target.first].adjacency[target.second]};
+        const std::span<const VectorId> current =
+            List(target.first, target.second);
+        *out = RemoveEdit::ListWrite{target.first, target.second,
+                                     {current.begin(), current.end()}};
       }
       for (std::size_t j = group_begin[g]; j < group_begin[g + 1]; ++j) {
         LinkBack(&out->neighbors, target.first, target.second,
@@ -621,12 +664,12 @@ Result<RemoveEdit> HnswIndex::PlanRemove(VectorId id) const {
       }
     }
   });
-  edit.writes.erase(
-      std::remove_if(edit.writes.begin(), edit.writes.end(),
-                     [](const RemoveEdit::ListWrite& w) {
-                       return w.node == kInvalidVectorId;
-                     }),
-      edit.writes.end());
+  // A group whose back-links all left the target's list as it was (present
+  // already, or dropped by the re-selection) carries no write.
+  std::erase_if(edit.writes, [this](const RemoveEdit::ListWrite& w) {
+    return w.node == kInvalidVectorId ||
+           std::ranges::equal(w.neighbors, List(w.node, w.level));
+  });
   std::sort(edit.writes.begin(), edit.writes.end(),
             [](const RemoveEdit::ListWrite& a, const RemoveEdit::ListWrite& b) {
               return Slot{a.node, a.level} < Slot{b.node, b.level};
@@ -674,7 +717,7 @@ std::vector<VectorId> HnswIndex::PlanRepair(VectorId v, int level,
                              }),
               cands.end());
   // Merge with the surviving edges so a repair never loses a good one.
-  for (VectorId existing : nodes_[v].adjacency[level]) {
+  for (VectorId existing : List(v, level)) {
     if (existing == removed ||
         std::any_of(cands.begin(), cands.end(),
                     [existing](const Neighbor& c) { return c.id == existing; })) {
@@ -696,7 +739,8 @@ void HnswIndex::ApplyRemove(const RemoveEdit& edit) {
                level_counts_[gone.level] > 0);
   --level_counts_[gone.level];
   AssignLists(edit.writes);
-  gone.adjacency.assign(gone.adjacency.size(), {});
+  SetList(edit.id, 0, {});
+  gone.upper.assign(gone.upper.size(), {});
   StoreEntry(EntryState{edit.entry, edit.entry_level});
 }
 
@@ -705,11 +749,12 @@ bool HnswIndex::IsDeleted(VectorId id) const {
   return nodes_[id].deleted;
 }
 
-const std::vector<VectorId>& HnswIndex::NeighborsAt(VectorId id,
-                                                    std::size_t level) const {
+std::vector<VectorId> HnswIndex::NeighborsAt(VectorId id,
+                                             std::size_t level) const {
   PPANNS_CHECK(id < nodes_.size());
   PPANNS_CHECK(static_cast<int>(level) <= nodes_[id].level);
-  return nodes_[id].adjacency[level];
+  const std::span<const VectorId> list = List(id, static_cast<int>(level));
+  return {list.begin(), list.end()};
 }
 
 int HnswIndex::LevelOf(VectorId id) const {
@@ -721,10 +766,10 @@ HnswStats HnswIndex::ComputeStats() const {
   HnswStats s;
   s.num_deleted = num_deleted_;
   s.max_level = LoadEntry().level;
-  for (const Node& node : nodes_) {
-    if (node.deleted) continue;
+  for (VectorId v = 0; v < nodes_.size(); ++v) {
+    if (nodes_[v].deleted) continue;
     ++s.num_nodes;
-    s.total_edges_level0 += node.adjacency[0].size();
+    s.total_edges_level0 += List(v, 0).size();
   }
   if (s.num_nodes > 0) {
     s.avg_out_degree_level0 =
@@ -752,10 +797,16 @@ void HnswIndex::Serialize(BinaryWriter* out) const {
   out->Put<std::uint64_t>(num_deleted_);
   out->PutVector(data_.data());
   out->Put<std::uint64_t>(nodes_.size());
-  for (const Node& node : nodes_) {
-    out->Put<std::int32_t>(node.level);
-    out->Put<std::uint8_t>(node.deleted ? 1 : 0);
-    for (int l = 0; l <= node.level; ++l) out->PutVector(node.adjacency[l]);
+  for (VectorId v = 0; v < nodes_.size(); ++v) {
+    out->Put<std::int32_t>(nodes_[v].level);
+    out->Put<std::uint8_t>(nodes_[v].deleted ? 1 : 0);
+    for (int l = 0; l <= nodes_[v].level; ++l) {
+      // The vector encoding: a u64 count, then the ids.
+      const std::span<const VectorId> list = List(v, l);
+      out->Put<std::uint64_t>(list.size());
+      out->PutBytes(reinterpret_cast<const std::uint8_t*>(list.data()),
+                    list.size_bytes());
+    }
   }
 }
 
@@ -773,6 +824,11 @@ Result<HnswIndex> HnswIndex::Deserialize(BinaryReader* in) {
   PPANNS_RETURN_IF_ERROR(in->Get(&m));
   PPANNS_RETURN_IF_ERROR(in->Get(&efc));
   PPANNS_RETURN_IF_ERROR(in->Get(&seed));
+  // Every node gets a level-0 row of 2m + 1 ids, so m is capped to keep a
+  // crafted header from turning a few bytes per node into a huge block.
+  if (dim == 0 || m < 2 || m > kMaxLoadM) {
+    return Status::IOError("HNSW: bad dim or m");
+  }
   params.m = m;
   params.ef_construction = efc;
   params.seed = seed;
@@ -784,34 +840,70 @@ Result<HnswIndex> HnswIndex::Deserialize(BinaryReader* in) {
   PPANNS_RETURN_IF_ERROR(in->Get(&max_level));
   std::uint64_t num_deleted = 0;
   PPANNS_RETURN_IF_ERROR(in->Get(&num_deleted));
-  index.num_deleted_ = num_deleted;
-  index.StoreEntry(EntryState{entry, max_level});
 
   std::vector<float> raw;
   PPANNS_RETURN_IF_ERROR(in->GetVector(&raw));
   if (raw.size() % dim != 0) return Status::IOError("HNSW: bad data size");
   const std::size_t n = raw.size() / dim;
+  if (n >= kInvalidVectorId) return Status::IOError("HNSW: too many nodes");
   index.data_ = FloatMatrix(n, dim);
   index.data_.data() = std::move(raw);
 
   std::uint64_t num_nodes = 0;
   PPANNS_RETURN_IF_ERROR(in->Get(&num_nodes));
   if (num_nodes != n) return Status::IOError("HNSW: node/data mismatch");
-  index.nodes_.resize(num_nodes);
-  for (auto& node : index.nodes_) {
+  index.nodes_.resize(n);
+  std::vector<VectorId> list;
+  std::size_t deleted = 0;
+  for (VectorId v = 0; v < n; ++v) {
+    Node& node = index.nodes_[v];
     PPANNS_RETURN_IF_ERROR(in->Get(&node.level));
-    std::uint8_t deleted = 0;
-    PPANNS_RETURN_IF_ERROR(in->Get(&deleted));
-    node.deleted = deleted != 0;
+    std::uint8_t deleted_flag = 0;
+    PPANNS_RETURN_IF_ERROR(in->Get(&deleted_flag));
+    node.deleted = deleted_flag != 0;
     if (node.level < 0 || node.level > 64) {
       return Status::IOError("HNSW: bad level");
     }
-    node.adjacency.resize(node.level + 1);
+    node.upper.resize(node.level);
+    index.AppendRow();
     for (int l = 0; l <= node.level; ++l) {
-      PPANNS_RETURN_IF_ERROR(in->GetVector(&node.adjacency[l]));
+      PPANNS_RETURN_IF_ERROR(in->GetVector(&list));
+      if (list.size() > index.MaxDegree(l)) {
+        return Status::IOError("HNSW: list exceeds max degree");
+      }
+      index.SetList(v, l, list);
     }
-    if (!node.deleted) index.CountLevel(node.level);
+    if (node.deleted) {
+      ++deleted;
+    } else {
+      index.CountLevel(node.level);
+    }
   }
+
+  // The graph must be walkable: every edge lands on a node that holds its
+  // level, and the entry point is live and on the top live level, or
+  // invalid when no live node remains.
+  for (VectorId v = 0; v < n; ++v) {
+    for (int l = 0; l <= index.nodes_[v].level; ++l) {
+      for (VectorId nb : index.List(v, l)) {
+        if (nb >= n || index.nodes_[nb].level < l) {
+          return Status::IOError("HNSW: edge to a missing node or level");
+        }
+      }
+    }
+  }
+  if (num_deleted != deleted) {
+    return Status::IOError("HNSW: deleted count mismatch");
+  }
+  const int top = static_cast<int>(index.level_counts_.size()) - 1;
+  const bool entry_ok =
+      deleted == n ? entry == kInvalidVectorId && max_level == -1
+                   : entry < n && !index.nodes_[entry].deleted &&
+                         index.nodes_[entry].level == max_level &&
+                         max_level == top;
+  if (!entry_ok) return Status::IOError("HNSW: bad entry point");
+  index.num_deleted_ = deleted;
+  index.StoreEntry(EntryState{entry, max_level});
   return index;
 }
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -53,7 +54,7 @@ struct HnswParams {
   std::size_t max_m0() const { return 2 * m; }
 };
 
-/// Aggregate graph statistics (used by tests and DESIGN.md ablations).
+/// Aggregate graph statistics (used by tests and graph analyses).
 struct HnswStats {
   std::size_t num_nodes = 0;       ///< live (non-deleted) nodes
   std::size_t num_deleted = 0;
@@ -63,12 +64,12 @@ struct HnswStats {
 };
 
 /// The planned effect of one deletion (HnswIndex::PlanRemove): the removed
-/// id, every adjacency list the repair rewrites, sorted by (node, level), and
-/// the entry state afterwards. Applying it does no distance work, and the
-/// same edit applied to byte-identical indexes leaves them byte-identical —
-/// which is how a replicated shard plans each delete once and applies it to
-/// every replica. The flat backends' edit is just the tombstone: only `id`
-/// is set.
+/// id, every adjacency list the repair changes, sorted by (node, level), and
+/// the entry state afterwards. A list the plan leaves as it is carries no
+/// write. Applying it does no distance work, and the same edit applied to
+/// byte-identical indexes leaves them byte-identical — which is how a
+/// replicated shard plans each delete once and applies it to every replica.
+/// The flat backends' edit is just the tombstone: only `id` is set.
 struct RemoveEdit {
   struct ListWrite {
     VectorId node = kInvalidVectorId;
@@ -83,11 +84,12 @@ struct RemoveEdit {
 
 /// The planned effect of one insertion (HnswIndex::PlanInsert): the new id
 /// and level, the new node's out-list per level (0..level), every existing
-/// list its back-links rewrite, sorted by (node, level), and the entry state
-/// afterwards. Like RemoveEdit, applying it does no distance work, and the
-/// same edit applied to byte-identical indexes (with the same vector) leaves
-/// them byte-identical. The flat backends' edit is just the id: `lists` and
-/// `writes` stay empty and allocate nothing.
+/// list its back-links change, sorted by (node, level), and the entry state
+/// afterwards. Like RemoveEdit, it carries only lists that change; applying
+/// it does no distance work, and the same edit applied to byte-identical
+/// indexes (with the same vector) leaves them byte-identical. The flat
+/// backends' edit is just the id: `lists` and `writes` stay empty and
+/// allocate nothing.
 struct InsertEdit {
   VectorId id = kInvalidVectorId;
   int level = -1;
@@ -198,17 +200,20 @@ class HnswIndex {
   /// Plans the removal of `id` without changing the index: every
   /// in-neighbor of `id` loses its edge and is re-linked by a fresh neighbor
   /// search, per the deletion strategy of Section V-D (server-only, no
-  /// data-owner help). InvalidArgument for an unknown id, NotFound for one
-  /// already removed.
+  /// data-owner help). A repaired node back-links only the neighbors it
+  /// gained; an edge it kept had its back-link offered when the edge was
+  /// made. InvalidArgument for an unknown id, NotFound for one already
+  /// removed.
   ///
   /// The plan is a pure function of the graph: the in-neighbor scan (the
-  /// O(n) part) and the repair searches fan across the global pool, but each
-  /// repair searches the *frozen* graph and the results are combined in
-  /// (node, level) order, so the edit is the same at any pool width — from
-  /// the calling thread or inline inside a pool worker. The entry point,
-  /// when it is an in-neighbor, is repaired too (its search starts at
-  /// itself). Const, so it may overlap Search; it must not overlap a
-  /// mutation.
+  /// O(n) part, a sweep over the contiguous level-0 block plus the upper
+  /// lists of the few nodes that have them) and the repair searches fan
+  /// across the global pool, but each repair searches the *frozen* graph and
+  /// the results are combined in (node, level) order, so the edit is the
+  /// same at any pool width — from the calling thread or inline inside a
+  /// pool worker. The entry point, when it is an in-neighbor, is repaired
+  /// too (its search starts at itself). Const, so it may overlap Search; it
+  /// must not overlap a mutation.
   Result<RemoveEdit> PlanRemove(VectorId id) const;
 
   /// Applies a PlanRemove edit made against this index's current state (or a
@@ -226,8 +231,9 @@ class HnswIndex {
   /// The current entry point (kInvalidVectorId when empty).
   VectorId entry_point() const { return LoadEntry().entry; }
 
-  /// Out-neighbors of `id` at `level` (for tests / graph analyses).
-  const std::vector<VectorId>& NeighborsAt(VectorId id, std::size_t level) const;
+  /// A copy of the out-neighbors of `id` at `level` (for tests / graph
+  /// analyses; the graph itself reads them in place through List).
+  std::vector<VectorId> NeighborsAt(VectorId id, std::size_t level) const;
   int LevelOf(VectorId id) const;
 
   HnswStats ComputeStats() const;
@@ -242,11 +248,13 @@ class HnswIndex {
   void PrimeVisitedEpochForTest(std::uint32_t epoch);
 
  private:
+  /// A node's level, tombstone and upper lists. Its level-0 list lives in
+  /// the shared block (level0_), which every node has.
   struct Node {
     int level = 0;
     bool deleted = false;
-    /// adjacency[l] = out-neighbors at level l, 0 <= l <= level.
-    std::vector<std::vector<VectorId>> adjacency;
+    /// upper[l - 1] = out-neighbors at level l, 1 <= l <= level.
+    std::vector<std::vector<VectorId>> upper;
   };
 
   /// Epoch-tagged visited set; one borrowed per search via a free-list so
@@ -348,6 +356,26 @@ class HnswIndex {
     return level == 0 ? params_.max_m0() : params_.m;
   }
 
+  /// Ids per node in the level-0 block: a count, then max_m0() slots.
+  std::size_t Stride() const { return params_.max_m0() + 1; }
+
+  /// Out-neighbors of `v` at `level`, read in place: the used prefix of v's
+  /// block row at level 0, its upper list above. Valid until the next
+  /// mutation.
+  std::span<const VectorId> List(VectorId v, int level) const {
+    if (level == 0) {
+      const VectorId* row = level0_.data() + v * Stride();
+      return {row + 1, row[0]};
+    }
+    return nodes_[v].upper[level - 1];
+  }
+
+  /// Replaces v's list at `level` (at most MaxDegree(level) ids).
+  void SetList(VectorId v, int level, std::span<const VectorId> list);
+
+  /// Appends an empty level-0 row for the next node.
+  void AppendRow();
+
   /// Adds the back-link `src` to `list`, the out-list of `owner` at `level`:
   /// nothing if present, appended if there is room, otherwise the list is
   /// re-selected with the heuristic over its edges plus `src`. `pending` is
@@ -383,9 +411,10 @@ class HnswIndex {
 
   /// Checks an edit's list writes and entry state against this index before
   /// any of it is applied (see EditLevel for `added`): every written node
-  /// holds the written level, every neighbor reaches it, and the entry holds
-  /// the entry level. Keeps an edit planned against another index from
-  /// writing out of bounds or leaving a descent that cannot be walked.
+  /// holds the written level, every list fits MaxDegree, every neighbor
+  /// reaches the level, and the entry holds the entry level. Keeps an edit
+  /// planned against another index from writing out of bounds or leaving a
+  /// descent that cannot be walked.
   void CheckEdit(const std::vector<RemoveEdit::ListWrite>& writes,
                  EntryState entry, VectorId added, int added_level) const;
 
@@ -405,6 +434,11 @@ class HnswIndex {
   double level_mult_;
   FloatMatrix data_;
   std::vector<Node> nodes_;
+  /// The level-0 lists, Stride() ids per node in id order (hnswlib's
+  /// layout): the count, then the neighbors, then kInvalidVectorId in every
+  /// unused slot. The fill lets the in-neighbor sweep compare whole rows
+  /// without reading the count; a tombstone's row holds no id.
+  std::vector<VectorId> level0_;
   /// Packed EntryState. Single source of truth for (entry point, max level).
   std::atomic<std::uint64_t> entry_state_;
   std::size_t num_deleted_ = 0;

@@ -70,7 +70,7 @@ class SecureFilterIndex {
   /// produce equal edits. HNSW does all of its linking work here (the
   /// descent, the per-level beam searches, the neighbor selection and the
   /// back-links; see HnswIndex::PlanInsert) and returns every adjacency list
-  /// it writes. The flat backends (ivf, lsh, brute) return the id alone, and
+  /// that changes. The flat backends (ivf, lsh, brute) return the id alone, and
   /// planning it allocates nothing.
   virtual InsertEdit PlanInsert(const float* v) const;
 
@@ -106,9 +106,11 @@ class SecureFilterIndex {
   /// Plans the removal of a vector without changing the index.
   /// InvalidArgument if out of range, NotFound if already removed. The plan
   /// is deterministic: equal indexes produce equal edits at any thread
-  /// count. HNSW does all of its repair work here (the in-neighbor scan,
-  /// the re-linking searches and the back-links; see HnswIndex::PlanRemove)
-  /// and returns every adjacency list it rewrites. The flat backends (ivf,
+  /// count. HNSW does all of its repair work here (the in-neighbor sweep
+  /// over its contiguous level-0 block and its upper lists, the re-linking
+  /// searches and the back-links for the edges each repair gained; see
+  /// HnswIndex::PlanRemove) and returns every adjacency list that changes.
+  /// The flat backends (ivf,
   /// lsh, brute) only validate: their edit is the tombstone alone, and
   /// planning it allocates nothing.
   virtual Result<RemoveEdit> PlanRemove(VectorId id) const;

@@ -1,4 +1,4 @@
-// Tests for the synthetic dataset generators (DESIGN.md substitution table):
+// Tests for the synthetic dataset generators (see src/datagen/synthetic.h):
 // each kind must match its real counterpart's dimension, value range and
 // basic distributional shape; ground truth must be exact.
 

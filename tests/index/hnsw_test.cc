@@ -4,6 +4,7 @@
 #include "index/hnsw.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,25 @@ Status PlanAndApply(HnswIndex& index, VectorId id) {
   if (!edit.ok()) return edit.status();
   index.ApplyRemove(*edit);
   return Status::OK();
+}
+
+std::vector<std::uint8_t> Bytes(const HnswIndex& index) {
+  BinaryWriter w;
+  index.Serialize(&w);
+  return w.TakeBuffer();
+}
+
+bool Contains(const std::vector<VectorId>& list, VectorId id) {
+  return std::find(list.begin(), list.end(), id) != list.end();
+}
+
+// A live id drawn from `rng`.
+VectorId RandomLive(const HnswIndex& index, Rng& rng) {
+  VectorId id;
+  do {
+    id = static_cast<VectorId>(rng.UniformInt(0, index.capacity() - 1));
+  } while (index.IsDeleted(id));
+  return id;
 }
 
 TEST(HnswTest, EmptyIndexReturnsNothing) {
@@ -484,6 +504,171 @@ TEST(HnswDeterminismTest, PlannedInsertAppliesIdenticallyToACopy) {
   EXPECT_EQ(a.size(), n + num_inserts - num_deletes);
 }
 
+// A delete repair back-links only the neighbors a repaired node gained. So
+// when a write lands on a node that was not repaired, every id it adds is a
+// repaired source at that level whose planned list gained the node.
+TEST(HnswTest, RepairBackLinksOnlyGainedEdges) {
+  const std::size_t n = 800, d = 10;
+  FloatMatrix data = RandomData(n, d, 81);
+  const HnswParams params{.m = 6, .ef_construction = 60, .seed = 3};
+  HnswIndex index(d, params);
+  index.AddBatch(data);
+  Rng rng(82);
+  std::size_t back_links = 0;
+  for (int round = 0; round < 80; ++round) {
+    const VectorId id = RandomLive(index, rng);
+    Result<RemoveEdit> edit = index.PlanRemove(id);
+    ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+    // A repaired list held `id` and loses it, so it always carries a write.
+    std::map<std::pair<VectorId, int>, const std::vector<VectorId>*> repaired;
+    for (const RemoveEdit::ListWrite& w : edit->writes) {
+      if (Contains(index.NeighborsAt(w.node, w.level), id)) {
+        repaired[{w.node, w.level}] = &w.neighbors;
+      }
+    }
+    for (const RemoveEdit::ListWrite& w : edit->writes) {
+      if (repaired.count({w.node, w.level}) > 0) continue;
+      const std::vector<VectorId> before = index.NeighborsAt(w.node, w.level);
+      for (VectorId src : w.neighbors) {
+        if (Contains(before, src)) continue;
+        ++back_links;
+        const auto it = repaired.find({src, w.level});
+        ASSERT_NE(it, repaired.end())
+            << "node " << w.node << " gained " << src
+            << ", which was not repaired";
+        // The source's repair gained the node. Back-links to the source
+        // itself may fill its list after that, and the re-selection may then
+        // drop the node again, so its final list holds the node or is full.
+        const std::size_t full = w.level == 0 ? params.max_m0() : params.m;
+        EXPECT_TRUE(Contains(*it->second, w.node) ||
+                    it->second->size() == full);
+        EXPECT_FALSE(Contains(index.NeighborsAt(src, w.level), w.node))
+            << "back-link for an edge " << src << " kept";
+      }
+    }
+    index.ApplyRemove(*edit);
+  }
+  EXPECT_GT(back_links, 0u);
+}
+
+// An edit carries only lists that change: no RemoveEdit or InsertEdit write
+// equals the list it replaces. Small lists fill up, so many back-links go
+// through the re-selection, which may keep a list as it is.
+TEST(HnswTest, EditsCarryOnlyChangedLists) {
+  const std::size_t n = 400, d = 8;
+  FloatMatrix data = RandomData(n, d, 83);
+  FloatMatrix extra = RandomData(200, d, 84);
+  HnswIndex index(d, HnswParams{.m = 3, .ef_construction = 40, .seed = 4});
+  index.AddBatch(data);
+  Rng rng(85);
+  std::size_t writes = 0;
+  for (std::size_t inserted = 0; inserted < extra.size();) {
+    std::vector<RemoveEdit::ListWrite> planned;
+    if (rng.UniformInt(0, 2) == 0) {
+      Result<RemoveEdit> edit = index.PlanRemove(RandomLive(index, rng));
+      ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+      planned = edit->writes;
+      for (const RemoveEdit::ListWrite& w : planned) {
+        EXPECT_NE(w.neighbors, index.NeighborsAt(w.node, w.level))
+            << "delete of " << edit->id << " rewrites node " << w.node
+            << " level " << w.level << " unchanged";
+      }
+      index.ApplyRemove(*edit);
+    } else {
+      const float* v = extra.row(inserted++);
+      const InsertEdit edit = index.PlanInsert(v);
+      planned = edit.writes;
+      for (const RemoveEdit::ListWrite& w : planned) {
+        EXPECT_NE(w.neighbors, index.NeighborsAt(w.node, w.level))
+            << "insert of " << edit.id << " rewrites node " << w.node
+            << " level " << w.level << " unchanged";
+      }
+      index.ApplyInsert(edit, v);
+    }
+    writes += planned.size();
+  }
+  EXPECT_GT(writes, 0u);
+}
+
+// The level-0 block is an in-memory layout: after churn (the entry point
+// deleted too), Serialize -> Deserialize -> Serialize is byte-equal, and the
+// copy has the same lists, levels, tombstones and search ids. Both copies
+// then take the same insert and stay byte-equal, so the loaded block grows
+// like the built one.
+TEST(HnswTest, LevelZeroBlockRoundTripsAfterChurn) {
+  const std::size_t n = 600, d = 8;
+  FloatMatrix data = RandomData(n, d, 86);
+  FloatMatrix extra = RandomData(121, d, 87);
+  HnswIndex index(d, HnswParams{.m = 5, .ef_construction = 50, .seed = 6});
+  index.AddBatch(data);
+  ASSERT_TRUE(PlanAndApply(index, index.entry_point()).ok());
+  Rng rng(88);
+  for (std::size_t i = 0; i + 1 < extra.size(); ++i) {
+    index.Add(extra.row(i));
+    if (i % 2 == 0) {
+      ASSERT_TRUE(PlanAndApply(index, RandomLive(index, rng)).ok());
+    }
+  }
+
+  const std::vector<std::uint8_t> bytes = Bytes(index);
+  BinaryReader reader(bytes);
+  Result<HnswIndex> loaded = HnswIndex::Deserialize(&reader);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(Bytes(*loaded), bytes);
+  ASSERT_EQ(loaded->capacity(), index.capacity());
+  EXPECT_EQ(loaded->size(), index.size());
+  EXPECT_EQ(loaded->entry_point(), index.entry_point());
+  for (VectorId id = 0; id < index.capacity(); ++id) {
+    ASSERT_EQ(loaded->LevelOf(id), index.LevelOf(id));
+    ASSERT_EQ(loaded->IsDeleted(id), index.IsDeleted(id));
+    for (int l = 0; l <= index.LevelOf(id); ++l) {
+      EXPECT_EQ(loaded->NeighborsAt(id, l), index.NeighborsAt(id, l))
+          << "node " << id << " level " << l;
+    }
+  }
+  FloatMatrix queries = RandomData(20, d, 89);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto a = index.Search(queries.row(i), 10, 60);
+    const auto b = loaded->Search(queries.row(i), 10, 60);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t j = 0; j < a.size(); ++j) EXPECT_EQ(a[j].id, b[j].id);
+  }
+
+  const float* last = extra.row(extra.size() - 1);
+  index.Add(last);
+  loaded->Add(last);
+  EXPECT_EQ(Bytes(*loaded), Bytes(index));
+}
+
+// 64-bit FNV-1a over a serialized index.
+std::uint64_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+// Pins the serialized format of delete-free builds: a sequential and a wave
+// build, each followed by a few single inserts. The constants were recorded
+// with the per-node list layout the level-0 block replaced, so they also pin
+// that the block changed the layout only. The distance kernels are
+// bit-exact across ISAs, so the constants hold under every dispatch path.
+TEST(HnswTest, BuildBytesMatchParentFormat) {
+  const std::size_t n = 600, d = 12;
+  FloatMatrix data = RandomData(n, d, 71);
+  FloatMatrix extra = RandomData(20, d, 72);
+  const HnswParams params{.m = 8, .ef_construction = 64, .seed = 13};
+  HnswIndex sequential(d, params);
+  sequential.AddBatch(data);
+  HnswIndex waves(d, params);
+  waves.AddBatchParallel(data, /*pool=*/nullptr, /*num_threads=*/3);
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    sequential.Add(extra.row(i));
+    waves.Add(extra.row(i));
+  }
+  EXPECT_EQ(Fnv1a(Bytes(sequential)), 0x7b5c4364f621e43dull);
+  EXPECT_EQ(Fnv1a(Bytes(waves)), 0xfaf3391a8eb6bb01ull);
+}
+
 TEST(HnswTest, SerializeRoundTrip) {
   const std::size_t n = 400, d = 8, k = 5;
   FloatMatrix data = RandomData(n, d, 17);
@@ -515,6 +700,118 @@ TEST(HnswTest, DeserializeRejectsGarbage) {
   std::vector<std::uint8_t> garbage = {1, 2, 3, 4, 5, 6, 7, 8};
   BinaryReader r(garbage);
   EXPECT_FALSE(HnswIndex::Deserialize(&r).ok());
+}
+
+// A hand-written HNSW payload in the Serialize layout, two-dimensional rows
+// of 0.5: the load checks see exactly the graph a test describes. The
+// default is a valid two-node graph.
+struct RawGraph {
+  std::uint64_t m = 2;
+  VectorId entry = 0;
+  std::int32_t max_level = 0;
+  std::uint64_t num_deleted = 0;
+  std::vector<std::int32_t> levels = {0, 0};
+  std::vector<std::uint8_t> deleted = {0, 0};
+  std::vector<std::vector<std::vector<VectorId>>> lists = {{{1}}, {{0}}};
+};
+
+Result<HnswIndex> Load(const RawGraph& g) {
+  const std::uint64_t dim = 2;
+  BinaryWriter w;
+  w.Put<std::uint32_t>(0x484E5357);  // "HNSW"
+  w.Put<std::uint32_t>(1);
+  w.Put<std::uint64_t>(dim);
+  w.Put<std::uint64_t>(g.m);
+  w.Put<std::uint64_t>(16);  // ef_construction
+  w.Put<std::uint64_t>(1);   // seed
+  w.Put<std::uint32_t>(g.entry);
+  w.Put<std::int32_t>(g.max_level);
+  w.Put<std::uint64_t>(g.num_deleted);
+  w.PutVector(std::vector<float>(dim * g.levels.size(), 0.5f));
+  w.Put<std::uint64_t>(g.levels.size());
+  for (std::size_t v = 0; v < g.levels.size(); ++v) {
+    w.Put<std::int32_t>(g.levels[v]);
+    w.Put<std::uint8_t>(g.deleted[v]);
+    for (const std::vector<VectorId>& list : g.lists[v]) w.PutVector(list);
+  }
+  BinaryReader r(w.buffer());
+  return HnswIndex::Deserialize(&r);
+}
+
+void ExpectRejected(const RawGraph& g, const char* what) {
+  const Result<HnswIndex> loaded = Load(g);
+  EXPECT_EQ(loaded.status().code(), Status::Code::kIOError) << what;
+}
+
+TEST(HnswTest, DeserializeAcceptsHandMadeGraph) {
+  Result<HnswIndex> loaded = Load(RawGraph{});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), 2u);
+  const float q[2] = {0.5f, 0.5f};
+  EXPECT_EQ(loaded->Search(q, 2, 10).size(), 2u);
+}
+
+TEST(HnswTest, DeserializeRejectsNeighborOutOfRange) {
+  RawGraph g;
+  g.lists[0][0] = {1000000};
+  ExpectRejected(g, "neighbor id 1000000 of a two-node graph");
+}
+
+TEST(HnswTest, DeserializeRejectsEdgeAboveNeighborLevel) {
+  RawGraph g;
+  g.levels = {1, 0};
+  g.max_level = 1;
+  g.lists[0] = {{1}, {1}};  // a level-1 edge to a level-0 node
+  ExpectRejected(g, "level-1 edge to a level-0 node");
+}
+
+TEST(HnswTest, DeserializeRejectsOverfullList) {
+  RawGraph g;  // m = 2: level 0 holds at most 4 ids, level 1 at most 2
+  g.lists[0][0] = {1, 1, 1, 1, 1};
+  ExpectRejected(g, "five ids at level 0");
+  g = RawGraph{};
+  g.levels = {1, 1};
+  g.max_level = 1;
+  g.lists = {{{1}, {1, 1, 1}}, {{0}, {0}}};
+  ExpectRejected(g, "three ids at level 1");
+}
+
+TEST(HnswTest, DeserializeRejectsBadEntryPoint) {
+  RawGraph g;
+  g.entry = 2;
+  ExpectRejected(g, "entry out of range");
+  g = RawGraph{};
+  g.max_level = 1;
+  ExpectRejected(g, "entry below the recorded max level");
+  g = RawGraph{};
+  g.levels = {0, 1};
+  g.lists[1] = {{0}, {}};
+  ExpectRejected(g, "entry below the top live level");
+  g = RawGraph{};
+  g.deleted = {1, 0};
+  g.num_deleted = 1;
+  g.lists[0] = {{}};
+  ExpectRejected(g, "deleted entry while a live node remains");
+  g = RawGraph{};
+  g.entry = kInvalidVectorId;
+  g.max_level = -1;
+  ExpectRejected(g, "no entry while live nodes remain");
+  g = RawGraph{};
+  g.deleted = {1, 1};
+  g.num_deleted = 2;
+  g.lists = {{{}}, {{}}};
+  ExpectRejected(g, "an entry with no live node");
+}
+
+TEST(HnswTest, DeserializeRejectsDeletedCountMismatch) {
+  RawGraph g;
+  g.num_deleted = 7;
+  ExpectRejected(g, "num_deleted 7 with no deleted flag");
+  g = RawGraph{};
+  g.deleted = {0, 1};
+  g.lists[1] = {{}};
+  g.lists[0] = {{}};
+  ExpectRejected(g, "num_deleted 0 with one deleted flag");
 }
 
 // Parameter sweep: recall must stay high across m / efc combinations.
