@@ -7,6 +7,61 @@
 
 namespace ppanns {
 
+void RefineCandidates(std::span<const Neighbor> candidates,
+                      std::span<const DceCiphertext* const> dce,
+                      const QueryToken& token, std::size_t k,
+                      const SearchSettings& settings, SearchContext* ctx,
+                      SearchResult* result) {
+  result->counters.filter_candidates = candidates.size();
+  if (!settings.refine) {
+    // Filter-only variant: the SAP ranking is final (approximate).
+    const std::size_t out_k = std::min(k, candidates.size());
+    result->ids.reserve(out_k);
+    for (std::size_t i = 0; i < out_k; ++i) {
+      result->ids.push_back(candidates[i].id);
+    }
+    FillCounters(&result->counters, *ctx);
+    return;
+  }
+
+  // Exact DCE comparisons. The heap holds candidate positions, so the
+  // comparator indexes `dce` directly; ComparisonHeap only ever calls it, so
+  // the ids match a heap over the candidate ids themselves.
+  Timer refine_timer;
+  std::size_t* comparisons = &result->counters.dce_comparisons;
+  ComparisonHeap heap(k, [dce, &token, comparisons](VectorId a, VectorId b) {
+    ++*comparisons;
+    return DceScheme::Closer(*dce[a], *dce[b], token.trapdoor);
+  });
+  // Blocked offers: gather a block of candidates and prefetch their DCE
+  // ciphertext payloads, then run the comparison-heavy offers over warm
+  // lines. Offers apply in candidate order, so ids match the unblocked loop.
+  // The context is probed as each candidate is gathered (candidate
+  // granularity — DCE comparisons dwarf a row scan); a spent filter budget
+  // does not abandon refinement, only cancellation or the deadline does.
+  VectorId block[kKernelBlock];
+  std::size_t ci = 0;
+  bool abandoned = false;
+  while (ci < candidates.size() && !abandoned) {
+    std::size_t bn = 0;
+    for (; ci < candidates.size() && bn < kKernelBlock; ++ci) {
+      if (ctx->ShouldAbandon()) {
+        abandoned = true;
+        break;
+      }
+      PrefetchRead(dce[ci]->data.data());
+      block[bn++] = static_cast<VectorId>(ci);
+    }
+    heap.OfferBatch(block, bn);
+  }
+  const std::vector<VectorId> positions = heap.ExtractSorted();
+  result->ids.reserve(positions.size());
+  for (VectorId pos : positions) result->ids.push_back(candidates[pos].id);
+  result->counters.refine_seconds = refine_timer.ElapsedSeconds();
+  ctx->stats.dce_comparisons += result->counters.dce_comparisons;
+  FillCounters(&result->counters, *ctx);
+}
+
 SearchResult CloudServer::Search(const QueryToken& token, std::size_t k,
                                  const SearchSettings& settings,
                                  SearchContext* ctx) const {
@@ -19,60 +74,20 @@ SearchResult CloudServer::Search(const QueryToken& token, std::size_t k,
   if (ctx == nullptr) ctx = &local;
   ApplyContextSettings(ctx, settings);
 
-  const std::size_t k_prime = ResolveKPrime(settings, k);
-
   // ---- Filter phase (Algorithm 2, line 1): k'-ANNS over SAP ciphertexts on
   // the configured backend; distances are computed on the encrypted vectors
   // at plaintext cost. The backend probes `ctx` from its hot loop.
   Timer filter_timer;
-  const std::vector<Neighbor> candidates =
-      db_.index->Search(token.sap.data(), k_prime, settings.ef_search, ctx);
+  const std::vector<Neighbor> candidates = db_.index->Search(
+      token.sap.data(), ResolveKPrime(settings, k), settings.ef_search, ctx);
   result.counters.filter_seconds = filter_timer.ElapsedSeconds();
-  result.counters.filter_candidates = candidates.size();
 
-  if (!settings.refine) {
-    // Filter-only variant: the SAP ranking is final (approximate).
-    const std::size_t out_k = std::min(k, candidates.size());
-    result.ids.reserve(out_k);
-    for (std::size_t i = 0; i < out_k; ++i) result.ids.push_back(candidates[i].id);
-    FillCounters(&result.counters, *ctx);
-    return result;
+  std::vector<const DceCiphertext*> dce;
+  if (settings.refine) {
+    dce.reserve(candidates.size());
+    for (const Neighbor& nb : candidates) dce.push_back(&db_.dce[nb.id]);
   }
-
-  // ---- Refine phase (Algorithm 2, lines 2-9): exact DCE comparisons. The
-  // context is probed between heap offers (candidate granularity — DCE
-  // comparisons are orders of magnitude costlier than a row scan).
-  Timer refine_timer;
-  std::size_t* comparisons = &result.counters.dce_comparisons;
-  ComparisonHeap heap(k, [this, &token, comparisons](VectorId a, VectorId b) {
-    ++*comparisons;
-    return DceScheme::Closer(db_.dce[a], db_.dce[b], token.trapdoor);
-  });
-  // Blocked offers: gather a block of candidates and prefetch their DCE
-  // ciphertext payloads, then run the comparison-heavy offers over warm
-  // lines. Offers apply in candidate order, so ids match the unblocked loop;
-  // the abandon probe keeps candidate granularity (it runs as each candidate
-  // is gathered).
-  VectorId block[kKernelBlock];
-  std::size_t ci = 0;
-  bool abandoned = false;
-  while (ci < candidates.size() && !abandoned) {
-    std::size_t bn = 0;
-    for (; ci < candidates.size() && bn < kKernelBlock; ++ci) {
-      if (ctx->ShouldAbandon()) {
-        abandoned = true;
-        break;
-      }
-      const VectorId id = candidates[ci].id;
-      PrefetchRead(db_.dce[id].data.data());
-      block[bn++] = id;
-    }
-    heap.OfferBatch(block, bn);
-  }
-  result.ids = heap.ExtractSorted();
-  result.counters.refine_seconds = refine_timer.ElapsedSeconds();
-  ctx->stats.dce_comparisons += result.counters.dce_comparisons;
-  FillCounters(&result.counters, *ctx);
+  RefineCandidates(candidates, dce, token, k, settings, ctx, &result);
   return result;
 }
 

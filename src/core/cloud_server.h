@@ -8,6 +8,7 @@
 #define PPANNS_CORE_CLOUD_SERVER_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/search_context.h"
@@ -68,14 +69,17 @@ inline void ApplyContextSettings(SearchContext* ctx,
 }
 
 /// Instrumentation for the cost analyses (Fig. 6 / Fig. 9) and the async
-/// serving path (Fig. 11).
+/// serving path (Fig. 11). Every counter describes one query — in a batch,
+/// that query's own work items — except hedge_wasted_nodes.
 struct SearchCounters {
   std::size_t filter_candidates = 0;
   std::size_t dce_comparisons = 0;
-  /// Hedge dispatches issued by the async scatter (a replica missed its
-  /// deadline and the next one was tried). Always 0 on the sync path.
+  /// Hedge dispatches issued for this query's work items (a replica missed
+  /// the hedging deadline and the next one was tried). Always 0 when
+  /// hedging is off.
   std::size_t hedged_requests = 0;
-  /// Replicas that were skipped because they were marked down.
+  /// Down replicas passed over ahead of the first live one when this
+  /// query's work items picked their replicas, summed across shards.
   std::size_t replicas_skipped = 0;
   /// Database rows scored by the winning filter scans of this query, summed
   /// across shards (SearchStats::nodes_visited).
@@ -86,6 +90,7 @@ struct SearchCounters {
   /// Nodes scored by hedge work items that lost the claim race — wasted
   /// work, observed at gather time (losers still running when the gather
   /// completed land only in ShardedCloudServer::CancelledWorkNodes()).
+  /// Batch-wide: a batch reports it on its first result only.
   std::size_t hedge_wasted_nodes = 0;
   /// Why the query stopped early, if it did (cancellation, deadline, node
   /// budget); kNone for a query that ran to completion.
@@ -95,6 +100,8 @@ struct SearchCounters {
   /// query against the same database epoch, and every work counter above is
   /// zero because no filter/refine work ran.
   bool cache_hit = false;
+  /// Filter-phase time: the scan, or on a sharded server the sum of this
+  /// query's winning dispatch times (not the scatter's wall time).
   double filter_seconds = 0.0;
   double refine_seconds = 0.0;
 };
@@ -111,12 +118,27 @@ inline void FillCounters(SearchCounters* counters, const SearchContext& ctx) {
 /// by true distance values, and the user needs no more).
 struct SearchResult {
   std::vector<VectorId> ids;
-  /// True when at least one shard had no live replica and was excluded from
-  /// the scatter: the ids cover only the shards that answered. Never set by
-  /// a healthy cluster or a single-index server.
+  /// True when at least one shard did not answer: it had no live replica,
+  /// its dispatch failed, or the gather abandoned it at the deadline. The ids
+  /// cover only the shards that answered. Never set by a healthy cluster or
+  /// a single-index server.
   bool partial = false;
   SearchCounters counters;
 };
+
+/// The refine phase of Algorithm 2 (lines 2-9), shared by every server
+/// topology. `candidates` is the SAP-ranked filter output (already cut to
+/// k'); `dce[i]` is candidate i's DCE ciphertext, resolved by the caller
+/// (unused when settings.refine is off). Streams the candidates through one
+/// comparison-only heap over candidate positions, probing `ctx` between
+/// offers, and fills result->ids, filter_candidates, dce_comparisons,
+/// refine_seconds and the context-derived counters. With refinement off the
+/// first k candidates are the answer.
+void RefineCandidates(std::span<const Neighbor> candidates,
+                      std::span<const DceCiphertext* const> dce,
+                      const QueryToken& token, std::size_t k,
+                      const SearchSettings& settings, SearchContext* ctx,
+                      SearchResult* result);
 
 /// The paper-faithful cloud-server core: one encrypted database, one query
 /// at a time, trusting its inputs (PpannsService adds validation and

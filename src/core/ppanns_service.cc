@@ -191,6 +191,22 @@ Result<SearchResult> PpannsService::Search(const QueryToken& token,
                                            std::size_t k,
                                            const SearchSettings& settings,
                                            SearchContext* ctx) const {
+  return SearchOne(token, k, settings, nullptr, ctx);
+}
+
+Result<SearchResult> PpannsService::SearchAsync(const QueryToken& token,
+                                                std::size_t k,
+                                                const SearchSettings& settings,
+                                                const AsyncOptions& async,
+                                                SearchContext* ctx) const {
+  return SearchOne(token, k, settings, &async, ctx);
+}
+
+Result<SearchResult> PpannsService::SearchOne(const QueryToken& token,
+                                              std::size_t k,
+                                              const SearchSettings& settings,
+                                              const AsyncOptions* async,
+                                              SearchContext* ctx) const {
   PPANNS_RETURN_IF_ERROR(ValidateQuery(token, k, settings));
   PPANNS_RETURN_IF_ERROR(CheckAdmission(settings, ctx));
   // The epoch is read BEFORE the search runs: a mutation that lands while
@@ -209,48 +225,21 @@ Result<SearchResult> PpannsService::Search(const QueryToken& token,
   }
   SearchContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
-  SearchResult result = std::visit(
-      [&](const auto& s) { return s.Search(token, k, settings, ctx); },
-      server_);
-  if (DeadlineTripped(result)) return DeadlineStatus(settings);
-  if (cache_ != nullptr && CacheEligible(result)) {
-    cache_->Insert(key, epoch, result.ids);
-  }
-  return result;
-}
-
-Result<SearchResult> PpannsService::SearchAsync(const QueryToken& token,
-                                                std::size_t k,
-                                                const SearchSettings& settings,
-                                                const AsyncOptions& async,
-                                                SearchContext* ctx) const {
-  PPANNS_RETURN_IF_ERROR(ValidateQuery(token, k, settings));
-  PPANNS_RETURN_IF_ERROR(CheckAdmission(settings, ctx));
-  ResultCache::Key key;
-  std::uint64_t epoch = 0;
-  if (cache_ != nullptr) {
-    key = ResultCache::MakeKey(token, k, settings);
-    epoch = CacheEpoch();
-    SearchResult cached;
-    if (cache_->Lookup(key, epoch, &cached.ids)) {
-      cached.counters.cache_hit = true;
-      return cached;
-    }
-  }
-  SearchContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
   Result<SearchResult> result = [&]() -> Result<SearchResult> {
     if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-      return s->SearchAsync(token, k, settings, async, ctx);
+      if (async != nullptr) {
+        return s->SearchAsync(token, k, settings, *async, ctx);
+      }
+      return s->Search(token, k, settings, ctx);
     }
     // One index, one "replica": nothing to hedge or fail over to.
     return std::get<CloudServer>(server_).Search(token, k, settings, ctx);
   }();
   if (result.ok() && DeadlineTripped(*result)) return DeadlineStatus(settings);
   if (cache_ != nullptr && result.ok() && CacheEligible(*result)) {
-    // Hedged/failed-over answers are id-identical to the sync path on the
-    // shards that answered, and partial answers were excluded above — so
-    // Search and SearchAsync share one cache.
+    // Hedged/failed-over answers are id-identical to the sync path, and
+    // partial answers are never cached — so Search and SearchAsync share
+    // one cache.
     cache_->Insert(key, epoch, result->ids);
   }
   return result;
@@ -312,9 +301,7 @@ Result<BatchSearchResult> PpannsService::SearchBatch(
       // flat fan-out — hedged through the claim-flag machinery when asked —
       // then per-query merge/refine. Same ids as a sequential loop, lower
       // tail latency for small batches.
-      return async.hedge_ms > 0.0
-                 ? s->SearchBatchScattered(qs, k, settings, async)
-                 : s->SearchBatchScattered(qs, k, settings);
+      return s->SearchBatchScattered(qs, k, settings, async);
     }
     std::vector<SearchResult> out(qs.size());
     ThreadPool::Global().ParallelFor(

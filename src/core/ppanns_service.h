@@ -226,6 +226,13 @@ class PpannsService {
   void SerializeDatabase(BinaryWriter* out) const;
 
  private:
+  /// The body of Search (`async` null) and SearchAsync: validate, admit,
+  /// answer from the cache or serve, then cache a complete answer.
+  Result<SearchResult> SearchOne(const QueryToken& token, std::size_t k,
+                                 const SearchSettings& settings,
+                                 const AsyncOptions* async,
+                                 SearchContext* ctx) const;
+
   /// Shared validation for Search/SearchBatch.
   Status ValidateQuery(const QueryToken& token, std::size_t k,
                        const SearchSettings& settings) const;

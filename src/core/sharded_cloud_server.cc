@@ -8,12 +8,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/comparison_heap.h"
 #include "core/query_client.h"
 
 namespace ppanns {
@@ -788,15 +786,6 @@ std::size_t ShardedCloudServer::live_replicas(std::size_t s) const {
   return live;
 }
 
-int ShardedCloudServer::FirstLiveReplica(const ShardSet& set, std::size_t s,
-                                         std::size_t* skipped) {
-  for (std::size_t r = 0; r < set.num_replicas; ++r) {
-    if (!ReplicaDown(set, s, r)) return static_cast<int>(r);
-    if (skipped != nullptr) ++*skipped;
-  }
-  return -1;
-}
-
 int ShardedCloudServer::PickReplica(const ShardSet& set, std::size_t s,
                                     std::size_t* skipped) {
   int best = -1;
@@ -875,197 +864,155 @@ Status ShardedCloudServer::FilterShard(std::size_t s, std::size_t r,
   return Status::OK();
 }
 
-SearchResult ShardedCloudServer::MergeAndRefine(
+void ShardedCloudServer::MergeAndRefine(
     const ShardSet& set, const QueryToken& token, std::size_t k,
     const SearchSettings& settings, std::size_t k_prime,
-    std::vector<ShardFilterResult> per_shard, SearchContext* ctx) const {
-  SearchResult result;
-
-  // A remote gather refines over ciphertexts shipped in the answers; index
-  // them by global id up front. (The map points into per_shard, which stays
-  // alive through the refine below.)
-  std::unordered_map<VectorId, const DceCiphertext*> shipped_dce;
-  if (remote_ && settings.refine) {
-    for (const ShardFilterResult& shard_result : per_shard) {
-      const std::size_t n = std::min(shard_result.candidates.size(),
-                                     shard_result.dce.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        shipped_dce.emplace(shard_result.candidates[i].id,
-                            &shard_result.dce[i]);
-      }
-    }
-  }
-
+    std::span<const ItemOutcome> items, SearchContext* ctx,
+    SearchResult* result) const {
   // ---- Gather: merge to the global SAP-top-k' under the same
   // (distance, global id) order an unsharded filter phase produces. Each
   // shard's top-k' is complete for that shard, so the merged prefix equals
-  // the unsharded candidate list whenever the backends are exact.
-  std::vector<Neighbor> merged;
-  for (const ShardFilterResult& shard_result : per_shard) {
-    merged.insert(merged.end(), shard_result.candidates.begin(),
-                  shard_result.candidates.end());
+  // the unsharded candidate list whenever the backends are exact. A remote
+  // candidate travels with its shipped ciphertext.
+  const bool want_dce = remote_ && settings.refine;
+  std::vector<std::pair<Neighbor, const DceCiphertext*>> merged;
+  for (const ItemOutcome& item : items) {
+    ctx->MergeChild(item.ctx);
+    result->counters.replicas_skipped += item.skipped;
+    result->counters.hedged_requests += item.hedges;
+    result->counters.filter_seconds += item.seconds;
+    const ShardFilterResult& answer = item.answer;
+    // A remote answer without its ciphertexts cannot be refined: it counts
+    // as a shard that did not answer.
+    if (!item.served ||
+        (want_dce && answer.dce.size() != answer.candidates.size())) {
+      result->partial = true;
+      continue;
+    }
+    for (std::size_t j = 0; j < answer.candidates.size(); ++j) {
+      merged.emplace_back(answer.candidates[j],
+                          want_dce ? &answer.dce[j] : nullptr);
+    }
   }
-  std::sort(merged.begin(), merged.end());
+  std::sort(merged.begin(), merged.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   if (merged.size() > k_prime) merged.resize(k_prime);
-  result.counters.filter_candidates = merged.size();
-
-  if (!settings.refine) {
-    const std::size_t out_k = std::min(k, merged.size());
-    result.ids.reserve(out_k);
-    for (std::size_t i = 0; i < out_k; ++i) result.ids.push_back(merged[i].id);
-    if (ctx != nullptr) FillCounters(&result.counters, *ctx);
-    return result;
-  }
 
   // ---- Refine: one DCE ComparisonHeap over the merged budget. A local
-  // server resolves each global id to its shard's ciphertext through the
-  // manifest (any live replica serves the lookup — ciphertexts are identical
-  // across replicas; the choice is pinned per shard up front so the
-  // comparison hot loop does no health checks). A remote gather looks up the
-  // shipped ciphertexts instead — same comparisons, same ids.
-  std::vector<const CloudServer*> dce_source;
-  if (!remote_) {
-    dce_source.resize(set.groups.size());
-    for (std::size_t s = 0; s < set.groups.size(); ++s) {
-      const int r = FirstLiveReplica(set, s);
-      dce_source[s] = r >= 0 ? &set.groups[s]->replicas[r]
-                             : &set.groups[s]->replicas.front();
+  // candidate's ciphertext is read in place from its shard's primary
+  // (ciphertexts are byte-identical across replicas).
+  std::vector<Neighbor> candidates;
+  std::vector<const DceCiphertext*> dce;
+  candidates.reserve(merged.size());
+  if (settings.refine) dce.reserve(merged.size());
+  for (const auto& [nb, shipped] : merged) {
+    candidates.push_back(nb);
+    if (!settings.refine) continue;
+    if (remote_) {
+      dce.push_back(shipped);
+    } else {
+      const ShardRef& ref = set.manifest.at(nb.id);
+      const CloudServer& primary = set.groups[ref.shard]->replicas.front();
+      dce.push_back(&primary.dce_ciphertexts()[ref.local]);
     }
   }
-
-  Timer refine_timer;
-  std::size_t* comparisons = &result.counters.dce_comparisons;
-  const ShardManifest& manifest = set.manifest;
-  ComparisonHeap heap(
-      k, [this, &token, &dce_source, &shipped_dce, &manifest,
-          comparisons](VectorId a, VectorId b) {
-        ++*comparisons;
-        if (remote_) {
-          return DceScheme::Closer(*shipped_dce.at(a), *shipped_dce.at(b),
-                                   token.trapdoor);
-        }
-        const ShardRef& ra = manifest.at(a);
-        const ShardRef& rb = manifest.at(b);
-        return DceScheme::Closer(
-            dce_source[ra.shard]->dce_ciphertexts()[ra.local],
-            dce_source[rb.shard]->dce_ciphertexts()[rb.local], token.trapdoor);
-      });
-  // Blocked offers: gather a block of eligible candidates, prefetching each
-  // one's DCE ciphertext payload, then run the comparison-heavy offers over
-  // warm lines. Offers apply in candidate order, so ids match the unblocked
-  // loop.
-  VectorId block[kKernelBlock];
-  std::size_t ci = 0;
-  bool abandoned = false;
-  while (ci < merged.size() && !abandoned) {
-    std::size_t bn = 0;
-    for (; ci < merged.size() && bn < kKernelBlock; ++ci) {
-      // Candidate-granularity probe: DCE comparisons dwarf a row scan. A
-      // spent filter budget does not abandon refinement — only cancellation
-      // or the deadline does.
-      if (ctx != nullptr && ctx->ShouldAbandon()) {
-        abandoned = true;
-        break;
-      }
-      const VectorId id = merged[ci].id;
-      if (remote_) {
-        // Defensive: never offer a candidate whose ciphertext did not ship
-        // (a malformed remote answer) — the comparator must not throw.
-        const auto it = shipped_dce.find(id);
-        if (it == shipped_dce.end()) continue;
-        PrefetchRead(it->second->data.data());
-      } else {
-        const ShardRef& ref = manifest.at(id);
-        PrefetchRead(
-            dce_source[ref.shard]->dce_ciphertexts()[ref.local].data.data());
-      }
-      block[bn++] = id;
-    }
-    heap.OfferBatch(block, bn);
-  }
-  result.ids = heap.ExtractSorted();
-  result.counters.refine_seconds = refine_timer.ElapsedSeconds();
-  if (ctx != nullptr) {
-    ctx->stats.dce_comparisons += result.counters.dce_comparisons;
-    FillCounters(&result.counters, *ctx);
-  }
-  return result;
+  RefineCandidates(candidates, dce, token, k, settings, ctx, result);
 }
 
-SearchResult ShardedCloudServer::Search(const QueryToken& token, std::size_t k,
-                                        const SearchSettings& settings,
-                                        SearchContext* ctx) const {
-  SearchResult result;
-  if (k == 0 || size() == 0) return result;
-  SearchContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  ApplyContextSettings(ctx, settings);
+std::vector<SearchResult> ShardedCloudServer::Scatter(
+    std::span<const QueryToken> tokens, std::size_t k,
+    const SearchSettings& settings, const AsyncOptions& async,
+    SearchContext* ctx) const {
+  PPANNS_CHECK(ctx == nullptr || tokens.size() == 1);
+  const std::size_t num_queries = tokens.size();
+  std::vector<SearchResult> results(num_queries);
+  if (num_queries == 0 || k == 0 || size() == 0) return results;
   const std::size_t k_prime = ResolveKPrime(settings, k);
+  const ShardFilterOptions options = MakeFilterOptions(k_prime, settings);
 
-  // Pin the serving state once: the whole query — scatter, merge, refine —
+  // Pin the serving state once: the whole call (scatter, merge, refine)
   // reads this set even if a compaction swaps a new one in meanwhile.
   const std::shared_ptr<const ShardSet> set = set_->Pin();
-
-  // ---- Scatter (filter phase): every shard answers the full k'-ANNS over
-  // its least-loaded live replica. Inside a batch worker the fan-out runs
-  // inline; standalone calls parallelize across shards. The gather below is
-  // a barrier — the synchronous path's tail latency is the slowest replica.
-  // Each shard scans under its own Child context (contexts are single-
-  // threaded by design); the parent merges them after the barrier.
-  Timer filter_timer;
   const std::size_t num_shards = set->groups.size();
-  const ShardFilterOptions options = MakeFilterOptions(k_prime, settings);
-  std::vector<ShardFilterResult> per_shard(num_shards);
-  std::vector<std::size_t> skipped(num_shards, 0);
-  std::vector<char> shard_down(num_shards, 0);
-  std::vector<SearchContext> children;
-  children.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) children.push_back(ctx->Child());
+
+  // Per-query contexts: the deadline/budget knobs bound every query
+  // independently, and each query's stats land in its own counters.
+  std::vector<SearchContext> owned(ctx == nullptr ? num_queries : 0);
+  std::vector<SearchContext*> query_ctx(num_queries, ctx);
+  for (std::size_t q = 0; q < num_queries; ++q) {
+    if (ctx == nullptr) query_ctx[q] = &owned[q];
+    ApplyContextSettings(query_ctx[q], settings);
+  }
+
+  // ---- Scatter (filter phase): one work item per (query, shard), so a
+  // small batch still spreads across every core. Each item scans under a
+  // Child of its query's context (contexts are single-threaded by design).
+  std::vector<ItemOutcome> items;
+  std::size_t wasted_nodes = 0;
+  if (async.hedge_ms > 0.0 && !ThreadPool::Global().InWorker()) {
+    // Hedging needs this thread as the gather/inline-hedge executor, which
+    // a pool worker cannot be for itself.
+    items = RunHedgedScatter(set, tokens, query_ctx, options, async,
+                             &wasted_nodes);
+  } else {
+    // Barrier: each shard serves from the replica picked once for the whole
+    // call (load-aware; on an idle cluster the first live one). The gather
+    // waits for every item — tail latency is the slowest replica.
+    std::vector<int> serving(num_shards);
+    std::vector<std::size_t> skipped(num_shards, 0);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      serving[s] = PickReplica(*set, s, &skipped[s]);
+    }
+    items.resize(num_queries * num_shards);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      items[i].ctx = query_ctx[i / num_shards]->Child();
+      items[i].skipped = skipped[i % num_shards];
+    }
+    ThreadPool::Global().ParallelFor(
+        items.size(), [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::size_t s = i % num_shards;
+            if (serving[s] < 0) continue;
+            ItemOutcome& item = items[i];
+            Timer item_timer;
+            item.served =
+                FilterVia(*set, s, static_cast<std::size_t>(serving[s]),
+                          tokens[i / num_shards], options, &item.ctx,
+                          &item.answer)
+                    .ok();
+            item.seconds = item_timer.ElapsedSeconds();
+          }
+        });
+  }
+
+  // ---- Gather: merge and refine each query, fanned across queries.
   ThreadPool::Global().ParallelFor(
-      num_shards, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          const int r = PickReplica(*set, s, &skipped[s]);
-          if (r < 0) {
-            shard_down[s] = 1;
-            continue;
-          }
-          // A failed dispatch (dead remote connection, server-side shed)
-          // degrades like a dead shard: partial result, not a crash.
-          if (!FilterVia(*set, s, static_cast<std::size_t>(r), token, options,
-                         &children[s], &per_shard[s])
-                   .ok()) {
-            shard_down[s] = 1;
-          }
+      num_queries, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t q = begin; q < end; ++q) {
+          const std::span<const ItemOutcome> own(
+              items.data() + q * num_shards, num_shards);
+          MergeAndRefine(*set, tokens[q], k, settings, k_prime, own,
+                         query_ctx[q], &results[q]);
         }
       });
-  for (const SearchContext& child : children) ctx->MergeChild(child);
-  const double filter_seconds = filter_timer.ElapsedSeconds();
-
-  result = MergeAndRefine(*set, token, k, settings, k_prime,
-                          std::move(per_shard), ctx);
-  result.counters.filter_seconds = filter_seconds;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    result.counters.replicas_skipped += skipped[s];
-    if (shard_down[s]) result.partial = true;
-  }
-  return result;
+  // Wasted loser work is a batch-wide observation; attribute it to the
+  // first result rather than replicating it per query.
+  results.front().counters.hedge_wasted_nodes = wasted_nodes;
+  return results;
 }
 
-ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
+std::vector<ShardedCloudServer::ItemOutcome>
+ShardedCloudServer::RunHedgedScatter(
     std::shared_ptr<const ShardSet> set, std::span<const QueryToken> tokens,
-    std::span<const ScatterItem> items, const ShardFilterOptions& options,
-    const AsyncOptions& async, SearchContext* parent_ctx) const {
+    std::span<SearchContext* const> query_ctx,
+    const ShardFilterOptions& options, const AsyncOptions& async,
+    std::size_t* wasted_nodes) const {
   ThreadPool& pool = ThreadPool::Global();
-  const std::size_t num_items = items.size();
+  const std::size_t num_shards = set->groups.size();
+  const std::size_t num_items = tokens.size() * num_shards;
   const std::size_t num_replicas = set->num_replicas;
   Runtime* const rt = runtime_.get();
-
-  ScatterOutcome outcome;
-  outcome.answers.resize(num_items);
-  outcome.stats.resize(num_items);
-  outcome.exits.assign(num_items, EarlyExit::kNone);
-  outcome.item_seconds.assign(num_items, 0.0);
-  outcome.hedges.assign(num_items, 0);
+  std::vector<ItemOutcome> outcome(num_items);
 
   // Everything an abandoned work item may touch after this call returns
   // lives here, behind a shared_ptr: the token copies, the claim flags, the
@@ -1078,11 +1025,11 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
     /// loser's probe fires inside the RPC wait, turning into one CANCEL
     /// frame on the wire.
     std::atomic<bool> claimed{false};
-    bool answered = false;         // guarded by Coordinator::mu
-    ShardFilterResult answer;      // guarded by mu
-    SearchStats stats;             // winner's scan stats, guarded by mu
-    EarlyExit exit = EarlyExit::kNone;  // winner's reason, guarded by mu
-    double seconds = 0.0;          // winner's delay + scan time, guarded by mu
+    bool answered = false;     // guarded by Coordinator::mu
+    bool served = false;       // winner's Status was OK, guarded by mu
+    ShardFilterResult answer;  // guarded by mu
+    SearchContext ctx;         // winner's stats and reason, guarded by mu
+    double seconds = 0.0;      // winner's delay + scan time, guarded by mu
   };
   struct Coordinator {
     std::shared_ptr<const ShardSet> set;  ///< keeps every group alive
@@ -1103,7 +1050,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
 
   // One dispatch of one (query, shard) item on a chosen replica, through its
   // transport — in-process scan or remote RPC, the hedging machinery cannot
-  // tell. The context is assembled at dispatch time: the caller's deadline
+  // tell. The context is assembled at dispatch time: the query's deadline
   // and cancellation flags (Child), plus — when mid-scan cancellation is on
   // — the item's claim flag. The item carries everything it touches through
   // the coordinator (which pins the ShardSet) or the stable Runtime, never
@@ -1142,42 +1089,40 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
           ctx.early_exit() == EarlyExit::kCancelled &&
           slot.claimed.load(std::memory_order_acquire);
       if (lost_race) {
-        if (answer.scanned) {
-          // Lost the race after burning real work: account it. This counter
-          // staying near zero is what mid-scan cancellation buys — locally
-          // through the claim-flag probe, remotely through the CANCEL frame
-          // (the response's partial stats land in `ctx`).
-          rt->cancelled_nodes.fetch_add(ctx.stats.nodes_visited,
-                                        std::memory_order_acq_rel);
-          rt->cancelled_scans.fetch_add(1, std::memory_order_acq_rel);
-          co->wasted_nodes.fetch_add(ctx.stats.nodes_visited,
-                                     std::memory_order_acq_rel);
-        }
+        if (answer.scanned) RecordWaste();
         Finish();
         return;
       }
       if (!slot.claimed.exchange(true, std::memory_order_acq_rel)) {
         // First finisher wins — including a failed dispatch (dead remote
-        // connection), which publishes its empty answer so the gather never
-        // hangs; the transport's health flag steers future dispatches away.
-        if (!st.ok()) answer = ShardFilterResult{};
+        // connection), which publishes as unserved so the gather never
+        // hangs and the query comes back partial; the transport's health
+        // flag steers future dispatches away.
         std::lock_guard<std::mutex> lock(co->mu);
         slot.answered = true;
-        slot.answer = std::move(answer);
-        slot.stats = ctx.stats;
-        slot.exit = ctx.early_exit();
+        slot.served = st.ok();
+        if (st.ok()) slot.answer = std::move(answer);
+        slot.ctx = ctx;
         slot.seconds = item_timer.ElapsedSeconds();
         --co->pending;
         co->cv.notify_all();
       } else if (answer.scanned) {
         // Claimed between our probe and the exchange: a straggler loss.
-        rt->cancelled_nodes.fetch_add(ctx.stats.nodes_visited,
-                                      std::memory_order_acq_rel);
-        rt->cancelled_scans.fetch_add(1, std::memory_order_acq_rel);
-        co->wasted_nodes.fetch_add(ctx.stats.nodes_visited,
-                                   std::memory_order_acq_rel);
+        RecordWaste();
       }
       Finish();
+    }
+
+    /// Lost the race after burning real work: account it. This counter
+    /// staying near zero is what mid-scan cancellation buys — locally
+    /// through the claim-flag probe, remotely through the CANCEL frame (the
+    /// response's partial stats land in `ctx`).
+    void RecordWaste() {
+      rt->cancelled_nodes.fetch_add(ctx.stats.nodes_visited,
+                                    std::memory_order_acq_rel);
+      rt->cancelled_scans.fetch_add(1, std::memory_order_acq_rel);
+      co->wasted_nodes.fetch_add(ctx.stats.nodes_visited,
+                                 std::memory_order_acq_rel);
     }
 
     void Finish() {
@@ -1186,11 +1131,10 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
     }
   };
 
-  const auto make_dispatch = [&](std::size_t item, std::size_t s,
-                                 std::size_t r) {
-    SearchContext ctx =
-        parent_ctx != nullptr ? parent_ctx->Child() : SearchContext{};
+  const auto make_dispatch = [&](std::size_t item, std::size_t r) {
+    SearchContext ctx = query_ctx[item / num_shards]->Child();
     if (async.mid_scan_cancel) ctx.AddCancelFlag(&co->slots[item].claimed);
+    const std::size_t s = item % num_shards;
     ReplicaState* const state = &co->set->groups[s]->state[r];
     state->inflight.fetch_add(1, std::memory_order_acq_rel);
     rt->inflight.fetch_add(1, std::memory_order_acq_rel);
@@ -1199,30 +1143,26 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
                     state,
                     rt,
                     item,
-                    items[item].token_index,
+                    item / num_shards,
                     options,
                     std::move(ctx)};
   };
 
   // ---- Initial scatter: every item to the least-loaded live replica of
-  // its shard, on the pool.
+  // its shard, on the pool. An item whose shard has no live replica is
+  // answered at once, unserved.
   std::vector<std::vector<std::uint8_t>> dispatched(
       num_items, std::vector<std::uint8_t>(num_replicas, 0));
   for (std::size_t i = 0; i < num_items; ++i) {
-    const int r = PickReplica(*set, items[i].shard, &outcome.replicas_skipped);
+    const int r = PickReplica(*set, i % num_shards, &outcome[i].skipped);
     if (r < 0) {
-      // Callers exclude shards with no live replica, but SetReplicaDown is
-      // an admin knob usable concurrently with serving: the shard's last
-      // replica may have died between the caller's liveness scan and this
-      // dispatch. Degrade like a dead shard — an empty answer — instead of
-      // crashing the server.
       std::lock_guard<std::mutex> lock(co->mu);
       co->slots[i].answered = true;
       --co->pending;
       continue;
     }
     dispatched[i][static_cast<std::size_t>(r)] = 1;
-    pool.Submit(make_dispatch(i, items[i].shard, static_cast<std::size_t>(r)));
+    pool.Submit(make_dispatch(i, static_cast<std::size_t>(r)));
   }
 
   // ---- Gather with hedging: wait in hedge_ms steps; at each missed
@@ -1231,12 +1171,12 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
   // a hedge makes progress even when every pool worker is stuck behind a
   // straggler (including on a single-worker pool); the loser aborts at its
   // next cancellation probe once the inline run claims the slot.
-  const bool hedging = async.hedge_ms > 0.0;
-  const bool has_deadline =
-      parent_ctx != nullptr && parent_ctx->has_deadline();
-  const auto query_deadline = has_deadline
-                                  ? parent_ctx->deadline()
-                                  : SearchContext::Clock::time_point::max();
+  auto query_deadline = SearchContext::Clock::time_point::max();
+  for (const SearchContext* qc : query_ctx) {
+    if (qc->has_deadline()) {
+      query_deadline = std::min(query_deadline, qc->deadline());
+    }
+  }
   {
     std::unique_lock<std::mutex> lock(co->mu);
     const auto start = std::chrono::steady_clock::now();
@@ -1244,7 +1184,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
     bool escalation_left = true;
     for (;;) {
       auto wake = query_deadline;
-      if (hedging && escalation_left) {
+      if (escalation_left) {
         const auto hedge_deadline =
             start +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -1261,13 +1201,13 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
                                  [&co] { return co->pending == 0; });
       }
       if (done) break;
-      if (has_deadline && SearchContext::Clock::now() >= query_deadline) {
+      if (SearchContext::Clock::now() >= query_deadline) {
         // Query deadline: abandon the gather. In-flight dispatches observe
         // the same deadline through their contexts and stop on their own.
-        parent_ctx->ShouldStop();
+        for (SearchContext* qc : query_ctx) qc->ShouldStop();
         break;
       }
-      if (!hedging || !escalation_left) continue;
+      if (!escalation_left) continue;
 
       // Escalate every unanswered item to its shard's next-best live
       // replica, inline. The lock is dropped while scanning so finishing
@@ -1276,15 +1216,14 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
       escalation_left = false;
       for (std::size_t i = 0; i < num_items; ++i) {
         if (co->slots[i].answered) continue;
+        const std::size_t s = i % num_shards;
         int best = -1;
         int best_load = std::numeric_limits<int>::max();
         std::size_t undispatched_live = 0;
         for (std::size_t r = 0; r < num_replicas; ++r) {
-          if (dispatched[i][r] || ReplicaDown(*set, items[i].shard, r)) {
-            continue;
-          }
+          if (dispatched[i][r] || ReplicaDown(*set, s, r)) continue;
           ++undispatched_live;
-          const int load = set->groups[items[i].shard]->state[r].inflight.load(
+          const int load = set->groups[s]->state[r].inflight.load(
               std::memory_order_acquire);
           if (load < best_load) {
             best_load = load;
@@ -1293,8 +1232,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
         }
         if (best < 0) continue;
         dispatched[i][static_cast<std::size_t>(best)] = 1;
-        ++outcome.hedges[i];
-        ++outcome.hedged_requests;
+        ++outcome[i].hedges;
         if (undispatched_live > 1) escalation_left = true;
         to_run.emplace_back(i, static_cast<std::size_t>(best));
       }
@@ -1302,7 +1240,7 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
       if (to_run.empty()) continue;
       lock.unlock();
       for (const auto& [item, r] : to_run) {
-        Dispatch hedge = make_dispatch(item, items[item].shard, r);
+        Dispatch hedge = make_dispatch(item, r);
         hedge();
       }
       lock.lock();
@@ -1310,256 +1248,55 @@ ShardedCloudServer::ScatterOutcome ShardedCloudServer::RunHedgedScatter(
 
     // ---- Collect under the same lock that guards the answer slots. Losers
     // may still be running; they can no longer win the claim, so answered
-    // slots are stable.
+    // slots are stable. An item still unanswered was abandoned at the
+    // deadline and stays unserved.
     for (std::size_t i = 0; i < num_items; ++i) {
-      if (!co->slots[i].answered) continue;
-      outcome.answers[i] = std::move(co->slots[i].answer);
-      outcome.stats[i] = co->slots[i].stats;
-      outcome.exits[i] = co->slots[i].exit;
-      outcome.item_seconds[i] = co->slots[i].seconds;
+      ItemSlot& slot = co->slots[i];
+      if (!slot.answered) continue;
+      outcome[i].answer = std::move(slot.answer);
+      outcome[i].ctx.MergeChild(slot.ctx);  // stats and reason, no flags
+      outcome[i].seconds = slot.seconds;
+      outcome[i].served = slot.served;
     }
   }
-  outcome.wasted_nodes = co->wasted_nodes.load(std::memory_order_acquire);
+  *wasted_nodes = co->wasted_nodes.load(std::memory_order_acquire);
   return outcome;
+}
+
+SearchResult ShardedCloudServer::Search(const QueryToken& token, std::size_t k,
+                                        const SearchSettings& settings,
+                                        SearchContext* ctx) const {
+  return std::move(Scatter(std::span(&token, 1), k, settings,
+                           AsyncOptions{.hedge_ms = 0.0}, ctx)
+                       .front());
 }
 
 Result<SearchResult> ShardedCloudServer::SearchAsync(
     const QueryToken& token, std::size_t k, const SearchSettings& settings,
     const AsyncOptions& async, SearchContext* ctx) const {
-  ThreadPool& pool = ThreadPool::Global();
-  if (pool.InWorker()) {
-    // The gather thread doubles as the inline hedge executor; a pool worker
-    // cannot play that role for itself, so fall back to the inline
-    // synchronous scatter (ParallelFor's nested rule), which already avoids
-    // the straggler wait across *queries* at the batch level.
-    SearchResult result = Search(token, k, settings, ctx);
-    if (result.partial && !async.allow_partial) {
-      return Status::FailedPrecondition(
-          "SearchAsync: a shard has no live replica and partial results are "
-          "disabled");
-    }
-    return result;
-  }
-
-  SearchResult result;
-  if (k == 0 || size() == 0) return result;
-  SearchContext local_ctx;
-  if (ctx == nullptr) ctx = &local_ctx;
-  ApplyContextSettings(ctx, settings);
-  const std::size_t k_prime = ResolveKPrime(settings, k);
-
-  const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const std::size_t num_shards = set->groups.size();
-
-  // Resolve serveable shards; dead shards are excluded from the scatter.
-  std::vector<ScatterItem> items;
-  std::vector<int> item_of_shard(num_shards, -1);
-  items.reserve(num_shards);
-  bool partial = false;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (FirstLiveReplica(*set, s) < 0) {
-      partial = true;
-      continue;
-    }
-    item_of_shard[s] = static_cast<int>(items.size());
-    items.push_back(ScatterItem{0, s});
-  }
-  if (items.empty()) {
+  std::size_t live = 0;
+  for (std::size_t s = 0; s < num_shards(); ++s) live += live_replicas(s);
+  if (live == 0) {
     return Status::FailedPrecondition(
         "SearchAsync: every replica of every shard is down");
   }
-  if (partial && !async.allow_partial) {
+  SearchResult result =
+      std::move(Scatter(std::span(&token, 1), k, settings, async, ctx).front());
+  // A query cut short by its deadline stays a result with early_exit set:
+  // its Status is DeadlineExceeded, which the facade derives from it.
+  if (result.partial && !async.allow_partial &&
+      result.counters.early_exit != EarlyExit::kDeadlineExpired) {
     return Status::FailedPrecondition(
-        "SearchAsync: a shard has no live replica and partial results are "
+        "SearchAsync: a shard did not answer and partial results are "
         "disabled");
   }
-
-  Timer filter_timer;
-  ScatterOutcome outcome =
-      RunHedgedScatter(set, std::span(&token, 1), items,
-                       MakeFilterOptions(k_prime, settings), async, ctx);
-  const double filter_seconds = filter_timer.ElapsedSeconds();
-
-  std::vector<ShardFilterResult> per_shard(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (item_of_shard[s] < 0) continue;
-    const std::size_t i = static_cast<std::size_t>(item_of_shard[s]);
-    per_shard[s] = std::move(outcome.answers[i]);
-    ctx->stats.Merge(outcome.stats[i]);
-    ctx->AdoptEarlyExit(outcome.exits[i]);
-  }
-
-  result = MergeAndRefine(*set, token, k, settings, k_prime,
-                          std::move(per_shard), ctx);
-  result.counters.filter_seconds = filter_seconds;
-  result.counters.hedged_requests = outcome.hedged_requests;
-  result.counters.replicas_skipped = outcome.replicas_skipped;
-  result.counters.hedge_wasted_nodes = outcome.wasted_nodes;
-  result.partial = partial;
   return result;
 }
 
 std::vector<SearchResult> ShardedCloudServer::SearchBatchScattered(
     std::span<const QueryToken> tokens, std::size_t k,
-    const SearchSettings& settings) const {
-  const std::size_t num_queries = tokens.size();
-  std::vector<SearchResult> results(num_queries);
-  if (num_queries == 0 || k == 0 || size() == 0) return results;
-  const std::size_t k_prime = ResolveKPrime(settings, k);
-  const ShardFilterOptions options = MakeFilterOptions(k_prime, settings);
-
-  const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const std::size_t num_shards = set->groups.size();
-
-  // Per-query contexts: the deadline/budget knobs bound every query of the
-  // batch independently; stats land in that query's counters.
-  std::vector<SearchContext> query_ctx(num_queries);
-  for (SearchContext& ctx : query_ctx) ApplyContextSettings(&ctx, settings);
-
-  // Resolve the serving replica of every shard once per batch (load-aware;
-  // on an idle cluster this is the first live replica, as before).
-  std::vector<int> serving(num_shards, -1);
-  std::size_t skipped = 0;
-  bool partial = false;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    serving[s] = PickReplica(*set, s, &skipped);
-    if (serving[s] < 0) partial = true;
-  }
-
-  // ---- Phase 1: one flat fan-out over all Q*S (query, shard) work items.
-  // Work item (q, s) is independent of every other, so a small batch still
-  // spreads across every core instead of leaving (cores - Q) idle. Each
-  // item scans under a Child of its query's context.
-  std::vector<std::vector<ShardFilterResult>> candidates(num_queries);
-  for (auto& per_query : candidates) per_query.resize(num_shards);
-  std::vector<double> item_seconds(num_queries * num_shards, 0.0);
-  std::vector<SearchContext> item_ctx;
-  item_ctx.reserve(num_queries * num_shards);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      item_ctx.push_back(query_ctx[q].Child());
-    }
-  }
-  ThreadPool::Global().ParallelFor(
-      num_queries * num_shards, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t item = begin; item < end; ++item) {
-          const std::size_t q = item / num_shards;
-          const std::size_t s = item % num_shards;
-          if (serving[s] < 0) continue;
-          Timer item_timer;
-          // A failed dispatch leaves this (query, shard) answer empty — the
-          // merge degrades like a dead shard.
-          static_cast<void>(FilterVia(*set, s,
-                                      static_cast<std::size_t>(serving[s]),
-                                      tokens[q], options, &item_ctx[item],
-                                      &candidates[q][s]));
-          item_seconds[item] = item_timer.ElapsedSeconds();
-        }
-      });
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      query_ctx[q].MergeChild(item_ctx[q * num_shards + s]);
-    }
-  }
-
-  // ---- Phase 2: per-query merge + refine, fanned across queries.
-  ThreadPool::Global().ParallelFor(
-      num_queries, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t q = begin; q < end; ++q) {
-          results[q] = MergeAndRefine(*set, tokens[q], k, settings, k_prime,
-                                      std::move(candidates[q]), &query_ctx[q]);
-          double filter_seconds = 0.0;
-          for (std::size_t s = 0; s < num_shards; ++s) {
-            filter_seconds += item_seconds[q * num_shards + s];
-          }
-          results[q].counters.filter_seconds = filter_seconds;
-          results[q].counters.replicas_skipped = skipped;
-          results[q].partial = partial;
-        }
-      });
-  return results;
-}
-
-std::vector<SearchResult> ShardedCloudServer::SearchBatchScattered(
-    std::span<const QueryToken> tokens, std::size_t k,
     const SearchSettings& settings, const AsyncOptions& async) const {
-  // Hedging needs this thread as the gather/inline-hedge executor; from a
-  // pool worker (or with hedging off) the flat ParallelFor path serves.
-  if (async.hedge_ms <= 0.0 || ThreadPool::Global().InWorker()) {
-    return SearchBatchScattered(tokens, k, settings);
-  }
-  const std::size_t num_queries = tokens.size();
-  std::vector<SearchResult> results(num_queries);
-  if (num_queries == 0 || k == 0 || size() == 0) return results;
-  const std::size_t k_prime = ResolveKPrime(settings, k);
-
-  const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const std::size_t num_shards = set->groups.size();
-
-  std::vector<SearchContext> query_ctx(num_queries);
-  for (SearchContext& ctx : query_ctx) ApplyContextSettings(&ctx, settings);
-
-  // Dead shards are excluded once for the whole batch.
-  bool partial = false;
-  std::vector<char> shard_live(num_shards, 0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (FirstLiveReplica(*set, s) >= 0) {
-      shard_live[s] = 1;
-    } else {
-      partial = true;
-    }
-  }
-
-  // All Q*S (query, live shard) work items through the same hedged
-  // claim-flag scatter SearchAsync uses — one coordinator, one gather.
-  std::vector<ScatterItem> items;
-  items.reserve(num_queries * num_shards);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (shard_live[s]) items.push_back(ScatterItem{q, s});
-    }
-  }
-  if (items.empty()) return results;
-
-  // The batch shares one deadline context source: every query's context
-  // carries the same settings-derived deadline, so the first query's stands
-  // in for the gather bound.
-  ScatterOutcome outcome =
-      RunHedgedScatter(set, tokens, items, MakeFilterOptions(k_prime, settings),
-                       async, &query_ctx.front());
-
-  std::vector<std::vector<ShardFilterResult>> candidates(num_queries);
-  for (auto& per_query : candidates) per_query.resize(num_shards);
-  std::vector<std::size_t> hedges_per_query(num_queries, 0);
-  std::vector<double> seconds_per_query(num_queries, 0.0);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    candidates[items[i].token_index][items[i].shard] =
-        std::move(outcome.answers[i]);
-    query_ctx[items[i].token_index].stats.Merge(outcome.stats[i]);
-    query_ctx[items[i].token_index].AdoptEarlyExit(outcome.exits[i]);
-    hedges_per_query[items[i].token_index] += outcome.hedges[i];
-    // Per-query attribution from the winning dispatches, matching the
-    // unhedged path's item_seconds accounting (not the batch wall time,
-    // which would inflate BatchCounters totals Q-fold).
-    seconds_per_query[items[i].token_index] += outcome.item_seconds[i];
-  }
-
-  ThreadPool::Global().ParallelFor(
-      num_queries, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t q = begin; q < end; ++q) {
-          results[q] = MergeAndRefine(*set, tokens[q], k, settings, k_prime,
-                                      std::move(candidates[q]), &query_ctx[q]);
-          results[q].counters.filter_seconds = seconds_per_query[q];
-          results[q].counters.replicas_skipped = outcome.replicas_skipped;
-          results[q].counters.hedged_requests = hedges_per_query[q];
-          // Wasted loser work is a batch-wide observation; attribute it to
-          // the batch's first result rather than replicating it Q times.
-          results[q].counters.hedge_wasted_nodes =
-              q == 0 ? outcome.wasted_nodes : 0;
-          results[q].partial = partial;
-        }
-      });
-  return results;
+  return Scatter(tokens, k, settings, async, nullptr);
 }
 
 Result<VectorId> ShardedCloudServer::Insert(const EncryptedVector& v) {

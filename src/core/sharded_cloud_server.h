@@ -13,20 +13,23 @@
 // merged candidate set equals the unsharded one and the returned ids are
 // identical.
 //
-// Replication makes the tier latency-hiding and loss-tolerant. Every shard
-// may carry R byte-identical replicas; any replica answers for the shard
-// with identical results, so
-//  * replica loss fails over to the next live replica without changing a
-//    single result id;
-//  * SearchAsync fans (query, shard-replica) work items through ThreadPool
-//    tasks and, when a shard misses the hedging deadline, runs the same work
-//    on the shard's next-best live replica *inline on the gather thread* —
-//    first answer wins, and the loser aborts mid-scan: the winner's claim
-//    flag is registered as a cancellation source in the loser's
-//    SearchContext, so its index hot loop stops at the next probe instead
-//    of finishing a scan nobody will read;
-//  * a shard whose every replica is down degrades to a partial result (flag
-//    on SearchResult) or a Status, per AsyncOptions.
+// Every search path — Search, SearchAsync, SearchBatchScattered — runs
+// through one private scatter engine: one work item per (query, shard), one
+// merge and one DCE refine per query. Replication makes the tier
+// latency-hiding and loss-tolerant. Every shard may carry R byte-identical
+// replicas; any replica answers for the shard with identical results, so
+//  * replica loss fails over to a live replica without changing a single
+//    result id;
+//  * with hedging on, work items run as ThreadPool tasks and, when one
+//    misses the hedging deadline, the same work runs on the shard's
+//    next-best live replica *inline on the gather thread* — first answer
+//    wins, and the loser aborts mid-scan: the winner's claim flag is
+//    registered as a cancellation source in the loser's SearchContext, so
+//    its index hot loop stops at the next probe instead of finishing a scan
+//    nobody will read;
+//  * a shard that does not answer (no live replica, a failed dispatch, the
+//    deadline) degrades to a partial result (flag on SearchResult) or, on
+//    SearchAsync, a Status per AsyncOptions.
 //
 // Live mutation (the epoch-swap path). The whole serving state — replica
 // groups, manifest, transports — lives in an immutable-on-swap ShardSet
@@ -60,14 +63,15 @@
 
 namespace ppanns {
 
-/// Knobs of the asynchronous scatter-gather path (SearchAsync and the
-/// hedged SearchBatchScattered overload).
+/// Knobs of the scatter engine's dispatch (SearchAsync and
+/// SearchBatchScattered).
 struct AsyncOptions {
   /// Hedging deadline in milliseconds. When a work item has not answered
   /// this long after the scatter, the same work is dispatched to the
   /// shard's next-best live replica and the first answer wins; every
   /// further multiple of the deadline escalates to the replica after that.
-  /// <= 0 disables hedging (the gather waits on the initial dispatch only).
+  /// <= 0 disables hedging: the scatter is a barrier over one dispatch per
+  /// work item.
   double hedge_ms = 5.0;
   /// What to do when every replica of a shard is down: true serves the
   /// remaining shards and sets SearchResult::partial; false fails the whole
@@ -86,11 +90,11 @@ struct AsyncOptions {
 
 /// The sharded, replicated serving tier: scatter-gathers Algorithm 2 across
 /// S shards of R byte-identical replicas each, behind the single-shard
-/// result contract. Offers a synchronous barrier gather (Search), an async
-/// hedged gather that hides stragglers (SearchAsync), and a batch-level
-/// (query, shard) fan-out (SearchBatchScattered); fails over on replica
-/// loss with identical result ids; and keeps itself healthy under churn via
-/// epoch-swapped tombstone compaction and shard splits.
+/// result contract. One scatter engine serves a synchronous barrier gather
+/// (Search), an async hedged gather that hides stragglers (SearchAsync), and
+/// a batch-level (query, shard) fan-out (SearchBatchScattered); fails over
+/// on replica loss with identical result ids; and keeps itself healthy
+/// under churn via epoch-swapped tombstone compaction and shard splits.
 class ShardedCloudServer {
  public:
   /// Knobs of the background/explicit maintenance path.
@@ -174,14 +178,14 @@ class ShardedCloudServer {
   /// but the gather is a barrier — one slow replica stalls the query, which
   /// is exactly what SearchAsync exists to avoid. Dispatch is load-aware:
   /// each shard serves from its least-inflight live replica (ties go to the
-  /// lowest replica id, so an idle cluster behaves like the old
-  /// first-live-in-order rule); a shard with no live replica is excluded and
-  /// the result is marked partial. Thread-safe for concurrent const calls,
-  /// like CloudServer::Search — including concurrently with a compaction or
-  /// split swap (the query pins the pre-swap set and finishes on it). The
-  /// `ctx` overload threads the caller's SearchContext into every per-shard
-  /// scan (each shard runs a Child context; stats merge back), making the
-  /// whole query cancellable and deadline-bounded.
+  /// lowest replica id, so an idle cluster serves from replica 0); a shard
+  /// that does not answer — no live replica, or a failed dispatch — is left
+  /// out and the result is marked partial. Thread-safe for concurrent const
+  /// calls, like CloudServer::Search — including concurrently with a
+  /// compaction or split swap (the query pins the pre-swap set and finishes
+  /// on it). The `ctx` overload threads the caller's SearchContext into
+  /// every per-shard scan (each shard runs a Child context; stats merge
+  /// back), making the whole query cancellable and deadline-bounded.
   SearchResult Search(const QueryToken& token, std::size_t k,
                       const SearchSettings& settings = {}) const {
     return Search(token, k, settings, nullptr);
@@ -199,9 +203,10 @@ class ShardedCloudServer {
   /// claim flag in its SearchContext (AsyncOptions::mid_scan_cancel).
   /// Results are identical to Search on a healthy cluster — replicas are
   /// byte-identical, so *which* replica answers never changes the ids.
-  /// Degrades per AsyncOptions when every replica of a shard is down; fails
-  /// with FailedPrecondition when no shard is serveable. Falls back to the
-  /// inline synchronous scatter when called from a pool worker.
+  /// Degrades per AsyncOptions when a shard does not answer (a partial
+  /// result, or FailedPrecondition with allow_partial off); fails with
+  /// FailedPrecondition when no shard is serveable. Falls back to the
+  /// barrier scatter when hedging is off or when called from a pool worker.
   Result<SearchResult> SearchAsync(const QueryToken& token, std::size_t k,
                                    const SearchSettings& settings = {},
                                    const AsyncOptions& async = {}) const {
@@ -213,27 +218,18 @@ class ShardedCloudServer {
                                    SearchContext* ctx) const;
 
   /// Batch-level scatter: fans Q*S (query, shard) filter work items across
-  /// the pool in one flat ParallelFor, then merges/refines per query — for
-  /// small batches on many-core hosts this keeps every core busy where the
-  /// per-query fan-out would leave (cores - S) idle. Results are identical
-  /// to a sequential Search loop over the tokens (same candidates, same
-  /// merge order); per-query filter_seconds is attributed from the
-  /// (query, shard) items of that query. Honors the settings' deadline/node
-  /// budget per query through per-item contexts.
+  /// the pool as one flat list, then merges/refines per query — for small
+  /// batches on many-core hosts this keeps every core busy where the
+  /// per-query fan-out would leave (cores - S) idle. With `async.hedge_ms`
+  /// > 0 the items go through the hedged claim-flag dispatch SearchAsync
+  /// uses. Results are identical to a sequential Search loop over the
+  /// tokens (same candidates, same merge order), and each result's counters
+  /// and partial flag describe that query alone. Honors the settings'
+  /// deadline/node budget per query.
   std::vector<SearchResult> SearchBatchScattered(
       std::span<const QueryToken> tokens, std::size_t k,
-      const SearchSettings& settings = {}) const;
-
-  /// Hedged batch scatter: the same Q*S fan-out, but every (query, shard)
-  /// work item goes through the hedged claim-flag machinery SearchAsync
-  /// uses — items that miss `async.hedge_ms` are re-dispatched to the
-  /// shard's next-best live replica, first answer wins, losers abort
-  /// mid-scan. Ids are identical to the unhedged overload. Falls back to
-  /// the unhedged path when hedging is disabled or when called from a pool
-  /// worker.
-  std::vector<SearchResult> SearchBatchScattered(
-      std::span<const QueryToken> tokens, std::size_t k,
-      const SearchSettings& settings, const AsyncOptions& async) const;
+      const SearchSettings& settings = {},
+      const AsyncOptions& async = {.hedge_ms = 0.0}) const;
 
   /// Inserts a freshly encrypted vector into the least-loaded shard and
   /// returns its dense *global* id. The insert is planned on the shard's
@@ -411,12 +407,6 @@ class ShardedCloudServer {
   /// transport can no longer reach it; failover treats both identically.
   static bool ReplicaDown(const ShardSet& set, std::size_t s, std::size_t r);
 
-  /// First live replica of shard s in replica order, or -1 if all are down.
-  /// `skipped`, when non-null, accumulates how many down replicas were
-  /// passed over.
-  static int FirstLiveReplica(const ShardSet& set, std::size_t s,
-                              std::size_t* skipped = nullptr);
-
   /// Load-aware dispatch: the least-inflight live replica of shard s (ties
   /// to the lowest replica id), or -1 if all are down. `skipped` accumulates
   /// the down replicas ahead of the first live one, preserving the
@@ -440,55 +430,59 @@ class ShardedCloudServer {
   ShardFilterOptions MakeFilterOptions(std::size_t k_prime,
                                        const SearchSettings& settings) const;
 
-  /// The gather + refine shared by every search path: merges per-shard
-  /// global-id candidates to the SAP-top-k', then (unless settings.refine is
-  /// off) streams them through one DCE ComparisonHeap, probing `ctx`
-  /// between comparisons. A local server resolves ciphertexts through the
-  /// pinned set's manifest; a remote one refines over the ciphertexts
-  /// shipped in the per-shard answers. Fills ids, filter_candidates,
-  /// dce_comparisons, refine_seconds, and the context-derived counters.
-  SearchResult MergeAndRefine(const ShardSet& set, const QueryToken& token,
-                              std::size_t k, const SearchSettings& settings,
-                              std::size_t k_prime,
-                              std::vector<ShardFilterResult> per_shard,
-                              SearchContext* ctx) const;
-
-  /// One hedged work item: tokens[token_index] scattered to `shard`.
-  struct ScatterItem {
-    std::size_t token_index = 0;
-    std::size_t shard = 0;
-  };
-  /// What a hedged scatter produced, indexed like `items`.
-  struct ScatterOutcome {
-    std::vector<ShardFilterResult> answers;  ///< global-id candidates (+ DCE)
-    std::vector<SearchStats> stats;          ///< the winning scan's stats
-    std::vector<EarlyExit> exits;                ///< the winning scan's reason
-    std::vector<double> item_seconds;            ///< winning dispatch's time
-    std::vector<std::size_t> hedges;             ///< hedge dispatches per item
-    std::size_t hedged_requests = 0;             ///< sum of `hedges`
-    std::size_t replicas_skipped = 0;
-    /// Loser nodes observed by the time the gather finished (late losers
-    /// land only in the Runtime-wide cumulative counters).
-    std::size_t wasted_nodes = 0;
+  /// What one (query, shard) work item produced, from whichever dispatch
+  /// won it. Item q * num_shards + s belongs to query q and shard s.
+  struct ItemOutcome {
+    ShardFilterResult answer;  ///< global-id candidates (+ DCE when remote)
+    /// The winning scan's stats and early-exit reason; the query context
+    /// merges it like a Child.
+    SearchContext ctx;
+    double seconds = 0.0;      ///< the winning dispatch's time
+    std::size_t hedges = 0;    ///< hedge dispatches issued for the item
+    std::size_t skipped = 0;   ///< down replicas passed over at dispatch
+    /// False when the shard did not answer: no live replica, a failed
+    /// dispatch, or abandoned by the gather at the deadline.
+    bool served = false;
   };
 
-  /// The hedged claim-flag scatter shared by SearchAsync (one item per
-  /// shard) and the hedged SearchBatchScattered (one item per query-shard
-  /// pair). Dispatches every item to its load-aware replica on the pool,
-  /// escalates items that miss async.hedge_ms to the shard's next-best live
-  /// replica *inline on the gather thread*, and aborts losers mid-scan via
-  /// the claim flag when async.mid_scan_cancel is set. The coordinator
-  /// keeps `set` pinned until the last loser finishes, so a compaction swap
-  /// mid-query can never free state a straggler still reads. `parent_ctx`
-  /// contributes the deadline and external cancellation flags every work
-  /// item inherits (Child contexts); its own stats are not written. Items
-  /// must target shards with at least one live replica.
-  ScatterOutcome RunHedgedScatter(std::shared_ptr<const ShardSet> set,
-                                  std::span<const QueryToken> tokens,
-                                  std::span<const ScatterItem> items,
-                                  const ShardFilterOptions& options,
-                                  const AsyncOptions& async,
-                                  SearchContext* parent_ctx) const;
+  /// The scatter engine behind every search path. Pins the ShardSet once,
+  /// gives each query its own context (a single query runs on `ctx`; a batch
+  /// passes null), dispatches one work item per (query, shard), then merges
+  /// and refines each query and fills its counters. Dispatch is hedged
+  /// (RunHedgedScatter) when async.hedge_ms > 0 and the caller is not a pool
+  /// worker; otherwise it is a barrier ParallelFor over the items, each
+  /// shard served by the replica PickReplica chose once for the call.
+  std::vector<SearchResult> Scatter(std::span<const QueryToken> tokens,
+                                    std::size_t k,
+                                    const SearchSettings& settings,
+                                    const AsyncOptions& async,
+                                    SearchContext* ctx) const;
+
+  /// The hedged claim-flag dispatch of the engine. Dispatches every item to
+  /// its load-aware replica on the pool, escalates items that miss
+  /// async.hedge_ms to the shard's next-best live replica *inline on the
+  /// gather thread*, and aborts losers mid-scan via the claim flag when
+  /// async.mid_scan_cancel is set. The coordinator keeps `set` pinned until
+  /// the last loser finishes, so a compaction swap mid-query can never free
+  /// state a straggler still reads. Every dispatch runs on a Child of its
+  /// query's context; the gather gives up at the earliest query deadline.
+  /// Loser nodes observed by the time the gather finished go to
+  /// `wasted_nodes` (late losers land only in the Runtime-wide counters).
+  std::vector<ItemOutcome> RunHedgedScatter(
+      std::shared_ptr<const ShardSet> set, std::span<const QueryToken> tokens,
+      std::span<SearchContext* const> query_ctx,
+      const ShardFilterOptions& options, const AsyncOptions& async,
+      std::size_t* wasted_nodes) const;
+
+  /// One query's gather: folds its work items' stats and counters into
+  /// `ctx` and `result`, merges the answered shards' candidates to the
+  /// global SAP-top-k', resolves each candidate's DCE ciphertext once — from
+  /// the shard primary when local, from the shipped answer when remote —
+  /// and refines through RefineCandidates.
+  void MergeAndRefine(const ShardSet& set, const QueryToken& token,
+                      std::size_t k, const SearchSettings& settings,
+                      std::size_t k_prime, std::span<const ItemOutcome> items,
+                      SearchContext* ctx, SearchResult* result) const;
 
   /// CompactShard/SplitShard bodies, caller holds the maintenance mutex.
   Status CompactShardLocked(std::size_t s, std::size_t build_threads);

@@ -8,6 +8,8 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -570,6 +572,173 @@ TEST_F(AsyncServingTest, HedgedBatchMatchesSequentialIds) {
     EXPECT_EQ(calm->results[i].ids, healthy[i]);
   }
   EXPECT_EQ(calm->counters.total_hedged_requests, 0u);
+}
+
+// A hedged batch against a cluster with every replica down answers with
+// partial results, and those never reach the cache: once the replicas are
+// back, the same batch is served fresh with the healthy ids.
+TEST_F(AsyncServingTest, HedgedBatchWithEveryReplicaDownIsPartialNotCached) {
+  const std::size_t k = 8;
+  const std::vector<std::vector<VectorId>> healthy = HealthyIds(k);
+  service_->EnableResultCache();
+  ShardedCloudServer& cluster = service_->sharded_server_mutable();
+  const auto set_all_down = [&cluster](bool down) {
+    for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+      for (std::size_t r = 0; r < cluster.replication_factor(); ++r) {
+        cluster.SetReplicaDown(s, r, down);
+      }
+    }
+  };
+  const AsyncOptions hedged{.hedge_ms = 5.0};
+
+  set_all_down(true);
+  auto down = service_->SearchBatch(tokens_, k, {}, hedged);
+  ASSERT_TRUE(down.ok()) << down.status().ToString();
+  for (const SearchResult& r : down->results) {
+    EXPECT_TRUE(r.partial);
+    EXPECT_TRUE(r.ids.empty());
+  }
+
+  set_all_down(false);
+  auto up = service_->SearchBatch(tokens_, k, {}, hedged);
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  for (std::size_t i = 0; i < tokens_.size(); ++i) {
+    EXPECT_FALSE(up->results[i].counters.cache_hit) << "query " << i;
+    EXPECT_FALSE(up->results[i].partial) << "query " << i;
+    EXPECT_EQ(up->results[i].ids, healthy[i]) << "query " << i;
+  }
+}
+
+/// A remote replica served in-process: forwards to a local server's
+/// FilterShard, the server side of the RPC boundary.
+class InProcessTransport final : public ShardTransport {
+ public:
+  InProcessTransport(const ShardedCloudServer* backend, std::size_t shard)
+      : backend_(backend), shard_(shard) {}
+  Status Filter(const QueryToken& token, const ShardFilterOptions& options,
+                SearchContext* ctx, ShardFilterResult* out) const override {
+    return backend_->FilterShard(shard_, 0, token, options, ctx, out);
+  }
+  bool remote() const override { return true; }
+
+ private:
+  const ShardedCloudServer* backend_;
+  std::size_t shard_;
+};
+
+/// A healthy-looking remote replica whose every dispatch fails.
+class FailingTransport final : public ShardTransport {
+ public:
+  Status Filter(const QueryToken&, const ShardFilterOptions&, SearchContext*,
+                ShardFilterResult*) const override {
+    return Status::IOError("injected dispatch failure");
+  }
+  bool remote() const override { return true; }
+};
+
+// A shard whose dispatch fails did not answer: every serving path marks the
+// query partial (so the facade never caches the truncated ids) and returns
+// only ids from the shards that answered.
+TEST_F(AsyncServingTest, FailedDispatchIsPartialOnEveryPath) {
+  const std::size_t k = 8;
+  const std::size_t failing_shard = 2;
+  const ShardedCloudServer& backend = service_->sharded_server();
+  ShardedCloudServer::RemoteTopology topology;
+  topology.num_shards = backend.num_shards();
+  topology.num_replicas = 1;
+  topology.dim = backend.dim();
+  topology.index_kind = backend.index_kind();
+  topology.size = backend.size();
+  topology.capacity = backend.capacity();
+  std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
+      topology.num_shards);
+  for (std::size_t s = 0; s < topology.num_shards; ++s) {
+    if (s == failing_shard) {
+      transports[s].push_back(std::make_unique<FailingTransport>());
+    } else {
+      transports[s].push_back(
+          std::make_unique<InProcessTransport>(&backend, s));
+    }
+  }
+  PpannsService gather{ShardedCloudServer(topology, std::move(transports))};
+  gather.EnableResultCache();
+
+  const ShardManifest& manifest = backend.manifest();
+  const auto check = [&](const SearchResult& r, const char* path) {
+    EXPECT_TRUE(r.partial) << path;
+    EXPECT_FALSE(r.counters.cache_hit) << path;
+    EXPECT_FALSE(r.ids.empty()) << path;
+    for (VectorId id : r.ids) {
+      EXPECT_NE(manifest.at(id).shard, failing_shard) << path;
+    }
+  };
+  const AsyncOptions hedged{.hedge_ms = 1000.0};
+  const std::span<const QueryToken> batch(tokens_.data(), 4);
+  // Twice: a path that cached its truncated answer would replay it.
+  for (int pass = 0; pass < 2; ++pass) {
+    auto sync = gather.Search(tokens_[0], k);
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    check(*sync, "Search");
+    auto async = gather.SearchAsync(tokens_[1], k, {}, hedged);
+    ASSERT_TRUE(async.ok()) << async.status().ToString();
+    check(*async, "SearchAsync");
+    auto plain = gather.SearchBatch(batch, k);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    for (const SearchResult& r : plain->results) check(r, "SearchBatch");
+    auto hedged_batch = gather.SearchBatch(batch, k, {}, hedged);
+    ASSERT_TRUE(hedged_batch.ok()) << hedged_batch.status().ToString();
+    for (const SearchResult& r : hedged_batch->results) {
+      check(r, "hedged SearchBatch");
+    }
+  }
+}
+
+// A deadline that expires while the hedged gather waits abandons the
+// shards still out, and the query comes back DeadlineExceeded — also with
+// partial results disabled, where a shard that did not answer for any other
+// reason is a FailedPrecondition.
+TEST_F(AsyncServingTest, ExpiredDeadlineWithoutPartialIsDeadlineExceeded) {
+  ShardedCloudServer& cluster = service_->sharded_server_mutable();
+  cluster.SetReplicaDelayMs(0, 0, 200);
+  cluster.SetReplicaDelayMs(0, 1, 200);
+  const SearchSettings tight{.deadline_ms = 20.0};
+  auto r = service_->SearchAsync(
+      tokens_[0], 8, tight,
+      AsyncOptions{.hedge_ms = 1000.0, .allow_partial = false});
+  EXPECT_EQ(r.status().code(), Status::Code::kDeadlineExceeded)
+      << r.status().ToString();
+  cluster.SetReplicaDelayMs(0, 0, 0);
+  cluster.SetReplicaDelayMs(0, 1, 0);
+}
+
+// replicas_skipped describes one query on every path: with the primaries of
+// shards 0 and 2 down, each query passes over exactly two replicas — a
+// batch does not report its batch-wide sum on every result.
+TEST_F(AsyncServingTest, ReplicasSkippedIsPerQueryOnEveryPath) {
+  const std::size_t k = 8;
+  ShardedCloudServer& cluster = service_->sharded_server_mutable();
+  cluster.SetReplicaDown(0, 0, true);
+  cluster.SetReplicaDown(2, 0, true);
+  const AsyncOptions hedged{.hedge_ms = 1000.0};
+
+  for (const QueryToken& token : tokens_) {
+    auto sync = service_->Search(token, k);
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    EXPECT_EQ(sync->counters.replicas_skipped, 2u);
+    auto async = service_->SearchAsync(token, k, {}, hedged);
+    ASSERT_TRUE(async.ok()) << async.status().ToString();
+    EXPECT_EQ(async->counters.replicas_skipped, 2u);
+  }
+  auto plain = service_->SearchBatch(tokens_, k);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  for (const SearchResult& r : plain->results) {
+    EXPECT_EQ(r.counters.replicas_skipped, 2u) << "SearchBatch";
+  }
+  auto hedged_batch = service_->SearchBatch(tokens_, k, {}, hedged);
+  ASSERT_TRUE(hedged_batch.ok()) << hedged_batch.status().ToString();
+  for (const SearchResult& r : hedged_batch->results) {
+    EXPECT_EQ(r.counters.replicas_skipped, 2u) << "hedged SearchBatch";
+  }
 }
 
 // ---------------------------------------------------------------------------
