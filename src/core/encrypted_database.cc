@@ -5,7 +5,6 @@
 namespace ppanns {
 namespace {
 
-constexpr std::uint32_t kMagic = 0x50504442;  // "PPDB"
 // v1 stored a bare HnswIndex payload; v2 stores the self-describing
 // SecureFilterIndex envelope (backend kind + payload). Both load.
 constexpr std::uint32_t kVersion = 2;
@@ -14,7 +13,7 @@ constexpr std::uint32_t kVersion = 2;
 
 void EncryptedDatabase::Serialize(BinaryWriter* out) const {
   PPANNS_CHECK(index != nullptr);
-  out->Put<std::uint32_t>(kMagic);
+  out->Put<std::uint32_t>(kEncryptedDatabaseMagic);
   out->Put<std::uint32_t>(kVersion);
   index->Serialize(out);
   out->Put<std::uint64_t>(dce.size());
@@ -27,7 +26,9 @@ void EncryptedDatabase::Serialize(BinaryWriter* out) const {
 Result<EncryptedDatabase> EncryptedDatabase::Deserialize(BinaryReader* in) {
   std::uint32_t magic = 0, version = 0;
   PPANNS_RETURN_IF_ERROR(in->Get(&magic));
-  if (magic != kMagic) return Status::IOError("EncryptedDatabase: bad magic");
+  if (magic != kEncryptedDatabaseMagic) {
+    return Status::IOError("EncryptedDatabase: bad magic");
+  }
   PPANNS_RETURN_IF_ERROR(in->Get(&version));
 
   std::unique_ptr<SecureFilterIndex> index;

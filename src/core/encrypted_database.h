@@ -5,6 +5,7 @@
 #ifndef PPANNS_CORE_ENCRYPTED_DATABASE_H_
 #define PPANNS_CORE_ENCRYPTED_DATABASE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -14,6 +15,9 @@
 #include "index/secure_filter_index.h"
 
 namespace ppanns {
+
+/// First four bytes of a serialized EncryptedDatabase ("PPDB").
+inline constexpr std::uint32_t kEncryptedDatabaseMagic = 0x50504442;
 
 /// One vector's outsourceable ciphertext pair (used for insertions).
 struct EncryptedVector {

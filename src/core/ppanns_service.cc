@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/io.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/wal_records.h"
 
@@ -28,61 +27,6 @@ Status Annotate(const Status& st, const std::string& prefix) {
 }
 
 }  // namespace
-
-std::size_t PpannsService::size() const {
-  return std::visit([](const auto& s) { return s.size(); }, server_);
-}
-
-std::size_t PpannsService::dim() const {
-  if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-    return s->dim();
-  }
-  return std::get<CloudServer>(server_).index().dim();
-}
-
-IndexKind PpannsService::index_kind() const {
-  if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-    return s->index_kind();
-  }
-  return std::get<CloudServer>(server_).index().kind();
-}
-
-std::size_t PpannsService::StorageBytes() const {
-  return std::visit([](const auto& s) { return s.StorageBytes(); }, server_);
-}
-
-std::size_t PpannsService::num_shards() const {
-  if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-    return s->num_shards();
-  }
-  return 1;
-}
-
-std::size_t PpannsService::num_replicas() const {
-  if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-    return s->replication_factor();
-  }
-  return 1;
-}
-
-const CloudServer& PpannsService::server() const {
-  PPANNS_CHECK(!sharded());
-  return std::get<CloudServer>(server_);
-}
-
-const ShardedCloudServer& PpannsService::sharded_server() const {
-  PPANNS_CHECK(sharded());
-  return std::get<ShardedCloudServer>(server_);
-}
-
-ShardedCloudServer& PpannsService::sharded_server_mutable() {
-  PPANNS_CHECK(sharded());
-  return std::get<ShardedCloudServer>(server_);
-}
-
-void PpannsService::SerializeDatabase(BinaryWriter* out) const {
-  std::visit([out](const auto& s) { s.SerializeDatabase(out); }, server_);
-}
 
 std::size_t PpannsService::ExpectedDceBlock() const {
   return DceScheme::TransformedDim(dim());
@@ -163,19 +107,13 @@ Status CheckAdmission(const SearchSettings& settings,
 }  // namespace
 
 std::uint64_t PpannsService::CacheEpoch() const {
-  std::uint64_t epoch = cache_->mutation_epoch();
-  if (const auto* s = std::get_if<ShardedCloudServer>(&server_);
-      s != nullptr) {
-    // Both terms are monotonic, so their sum is too: an entry stamped
-    // before any mutation — through the facade or through background
-    // maintenance — can never match again. On a remote gather
-    // state_version() reads the cluster epoch fence, which every mutation
-    // response and health ping advances, so a mutation applied over the
-    // wire (or directly on a shard server) stale-evicts here the same way
-    // a local one does.
-    epoch += s->state_version();
-  }
-  return epoch;
+  // Both terms are monotonic, so their sum is too: an entry stamped before
+  // any mutation — through the facade or through background maintenance —
+  // can never match again. On a remote gather state_version() reads the
+  // cluster epoch fence, which every mutation response and health ping
+  // advances, so a mutation applied over the wire (or directly on a shard
+  // server) stale-evicts here the same way a local one does.
+  return cache_->mutation_epoch() + server_.state_version();
 }
 
 void PpannsService::EnableResultCache(const ResultCacheOptions& options) {
@@ -225,16 +163,10 @@ Result<SearchResult> PpannsService::SearchOne(const QueryToken& token,
   }
   SearchContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
-  Result<SearchResult> result = [&]() -> Result<SearchResult> {
-    if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-      if (async != nullptr) {
-        return s->SearchAsync(token, k, settings, *async, ctx);
-      }
-      return s->Search(token, k, settings, ctx);
-    }
-    // One index, one "replica": nothing to hedge or fail over to.
-    return std::get<CloudServer>(server_).Search(token, k, settings, ctx);
-  }();
+  Result<SearchResult> result =
+      async != nullptr ? server_.SearchAsync(token, k, settings, *async, ctx)
+                       : Result<SearchResult>(
+                             server_.Search(token, k, settings, ctx));
   if (result.ok() && DeadlineTripped(*result)) return DeadlineStatus(settings);
   if (cache_ != nullptr && result.ok() && CacheEligible(*result)) {
     // Hedged/failed-over answers are id-identical to the sync path, and
@@ -294,23 +226,13 @@ Result<BatchSearchResult> PpannsService::SearchBatch(
     }
   }
 
-  // The scatter itself, over whichever tokens were not served above.
-  auto run = [&](std::span<const QueryToken> qs) -> std::vector<SearchResult> {
-    if (const auto* s = std::get_if<ShardedCloudServer>(&server_)) {
-      // Batch-level scatter: all Q*S (query, shard) filter items as one
-      // flat fan-out — hedged through the claim-flag machinery when asked —
-      // then per-query merge/refine. Same ids as a sequential loop, lower
-      // tail latency for small batches.
-      return s->SearchBatchScattered(qs, k, settings, async);
-    }
-    std::vector<SearchResult> out(qs.size());
-    ThreadPool::Global().ParallelFor(
-        qs.size(), [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            out[i] = std::get<CloudServer>(server_).Search(qs[i], k, settings);
-          }
-        });
-    return out;
+  // The scatter itself, over whichever tokens were not served above:
+  // all Q*S (query, shard) filter items as one flat fan-out — hedged
+  // through the claim-flag machinery when asked — then per-query
+  // merge/refine. Same ids as a sequential loop, lower tail latency for
+  // small batches.
+  auto run = [&](std::span<const QueryToken> qs) {
+    return server_.SearchBatchScattered(qs, k, settings, async);
   };
 
   if (cache_ == nullptr) {
@@ -353,8 +275,7 @@ Result<BatchSearchResult> PpannsService::SearchBatch(
 }
 
 Status PpannsService::CheckMutable(const char* op) const {
-  if (const auto* s = std::get_if<ShardedCloudServer>(&server_);
-      s != nullptr && s->remote()) {
+  if (server_.remote()) {
     return Status::NotSupported(
         std::string(op) +
         ": this gather node serves remote shards; apply maintenance on "
@@ -384,7 +305,7 @@ Status PpannsService::ValidateInsert(const EncryptedVector& v) const {
 }
 
 Result<VectorId> PpannsService::Insert(const EncryptedVector& v) {
-  // No CheckMutable: a sharded server over remote shards routes the insert
+  // No CheckMutable: a server over remote shards routes the insert
   // through its attached MutationTransports (or refuses with NotSupported
   // itself when none are attached). The WAL below is the *gather's* log and
   // can only be attached on a local topology (AttachWal is gated).
@@ -400,10 +321,7 @@ Result<VectorId> PpannsService::Insert(const EncryptedVector& v) {
   // pre-insert answer, but it will stamp it with the pre-bump epoch and
   // never serve it again — stale-conservative, never wrong.
   if (cache_ != nullptr) cache_->BumpMutationEpoch();
-  if (auto* sharded = std::get_if<ShardedCloudServer>(&server_)) {
-    return sharded->Insert(v);
-  }
-  return std::get<CloudServer>(server_).Insert(v);
+  return server_.Insert(v);
 }
 
 Status PpannsService::Delete(VectorId id) {
@@ -418,7 +336,7 @@ Status PpannsService::Delete(VectorId id) {
   // Bumped even when the Delete is then rejected (NotFound): a spurious
   // wholesale invalidation is harmless, a missed one is not.
   if (cache_ != nullptr) cache_->BumpMutationEpoch();
-  return std::visit([id](auto& s) { return s.Delete(id); }, server_);
+  return server_.Delete(id);
 }
 
 Status PpannsService::AttachWal(const std::string& dir, WalOptions options) {
@@ -448,14 +366,13 @@ Result<std::size_t> PpannsService::ReplayWal(const std::string& dir) {
         PPANNS_RETURN_IF_ERROR(ValidateInsert(*ev));
         // Apply directly, bypassing the attached WAL: these records are
         // already in the log.
-        std::visit([&ev](auto& s) { (void)s.Insert(*ev); }, server_);
+        (void)server_.Insert(*ev);
         break;
       }
       case WalRecordType::kRemove: {
         Result<VectorId> id = DecodeWalRemove(record.payload);
         if (!id.ok()) return id.status();
-        const Status st =
-            std::visit([&id](auto& s) { return s.Delete(*id); }, server_);
+        const Status st = server_.Delete(*id);
         // Append-before-apply: a logged Delete may have failed in the
         // original run too (double delete, compacted-away id) — the replay
         // reproduces the rejection, which is the correct final state.

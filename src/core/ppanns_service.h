@@ -1,19 +1,18 @@
-// PpannsService — the serving facade over a CloudServer or a
-// ShardedCloudServer.
+// PpannsService — the serving facade over a ShardedCloudServer.
 //
 // The server cores are paper-faithful: they trust their inputs (malformed
 // tokens are programmer errors) and answer one query at a time. The service
-// wraps either topology behind one validated API:
+// wraps them behind one validated API:
 //  * input validation — dimension mismatches, k = 0, an empty database, a
 //    malformed trapdoor, or a mis-shaped insert come back as Status instead
 //    of undefined behavior;
 //  * batched execution — SearchBatch fans a token batch across the global
 //    ThreadPool and aggregates per-query counters into a BatchCounters
 //    summary, returning results bitwise identical to a sequential loop;
-//  * topology transparency — Search/SearchBatch/Insert/Delete behave
-//    identically over one index or over S shards (inserts route to the
-//    least-loaded shard, deletes resolve through the manifest), so scaling
-//    out is a deployment decision, not an API change;
+//  * one serving path — a single-index package is served as one shard of
+//    one replica with global id = local id, so Search/SearchBatch/Insert/
+//    Delete run the same scatter engine for every topology and scaling out
+//    is a deployment decision, not an API change;
 //  * durability — with a WAL attached (AttachWal), every accepted mutation
 //    is logged before it is applied, Checkpoint snapshots atomically and
 //    truncates the log, and ReplayWal reconstructs a crashed process's
@@ -27,7 +26,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/search_context.h"
@@ -68,15 +66,16 @@ struct BatchSearchResult {
   BatchCounters counters;
 };
 
-/// The validated, batched serving facade over either server topology (one
-/// CloudServer or a ShardedCloudServer). Turns malformed input into Status
-/// instead of undefined behavior, fans batches across the global
-/// ThreadPool, exposes the async hedged path on sharded deployments, and
-/// keeps Search/SearchBatch/Insert/Delete semantics identical across
-/// topologies — scaling out is a deployment decision, not an API change.
+/// The validated, batched serving facade over one ShardedCloudServer — S
+/// shards of R replicas, or the 1x1 single-index topology. Turns malformed
+/// input into Status instead of undefined behavior, fans batches across the
+/// global ThreadPool, exposes the async hedged path, and adds the result
+/// cache and the write-ahead log.
 class PpannsService {
  public:
-  explicit PpannsService(CloudServer server) : server_(std::move(server)) {}
+  /// Serves a single-index package as a 1x1 ShardedCloudServer.
+  explicit PpannsService(CloudServer server)
+      : server_(ShardedCloudServer(std::move(server))) {}
   explicit PpannsService(ShardedCloudServer server)
       : server_(std::move(server)) {}
 
@@ -100,13 +99,12 @@ class PpannsService {
                               const SearchSettings& settings,
                               SearchContext* ctx) const;
 
-  /// Validated asynchronous search. On a sharded topology this is the
-  /// latency-hiding path: (query, shard-replica) work items fan across the
-  /// ThreadPool, shards that miss `async.hedge_ms` are hedged onto their
-  /// next live replica (first answer wins), and a shard with no live
-  /// replica degrades per AsyncOptions (partial flag or Status). On the
-  /// single-index topology it behaves exactly like Search (there is nothing
-  /// to hedge). Result ids are identical to Search on a healthy cluster.
+  /// Validated asynchronous search, the latency-hiding path: (query,
+  /// shard-replica) work items fan across the ThreadPool, shards that miss
+  /// `async.hedge_ms` are hedged onto their next live replica (first answer
+  /// wins), and a shard with no live replica degrades per AsyncOptions
+  /// (partial flag or Status). Result ids are identical to Search on a
+  /// healthy cluster.
   Result<SearchResult> SearchAsync(const QueryToken& token, std::size_t k,
                                    const SearchSettings& settings = {},
                                    const AsyncOptions& async = {}) const {
@@ -122,21 +120,19 @@ class PpannsService {
   /// vector is aligned with `tokens` and bitwise identical to a sequential
   /// Search loop (each query is independent and deterministic).
   ///
-  /// On a sharded topology the fan-out is batch-level: all Q*S
-  /// (query, shard) filter work items spread across the pool as one flat
-  /// list, so a batch smaller than the core count still fills the machine
-  /// and one slow shard only stalls its own work items, not a whole worker's
-  /// query queue.
+  /// The fan-out is batch-level: all Q*S (query, shard) filter work items
+  /// spread across the pool as one flat list, so a batch smaller than the
+  /// core count still fills the machine and one slow shard only stalls its
+  /// own work items, not a whole worker's query queue.
   Result<BatchSearchResult> SearchBatch(std::span<const QueryToken> tokens,
                                         std::size_t k,
                                         const SearchSettings& settings = {}) const;
 
-  /// SearchBatch with hedging: on a sharded topology the Q*S (query, shard)
-  /// work items run through the same hedged claim-flag scatter SearchAsync
-  /// uses — items missing `async.hedge_ms` re-dispatch to the shard's
-  /// next-best live replica, first answer wins, losers abort mid-scan. Ids
-  /// are identical to the unhedged SearchBatch. On the single-index
-  /// topology (nothing to hedge) it behaves exactly like SearchBatch.
+  /// SearchBatch with hedging: the Q*S (query, shard) work items run through
+  /// the same hedged claim-flag scatter SearchAsync uses — items missing
+  /// `async.hedge_ms` re-dispatch to the shard's next-best live replica,
+  /// first answer wins, losers abort mid-scan. Ids are identical to the
+  /// unhedged SearchBatch.
   Result<BatchSearchResult> SearchBatch(std::span<const QueryToken> tokens,
                                         std::size_t k,
                                         const SearchSettings& settings,
@@ -144,12 +140,12 @@ class PpannsService {
 
   /// Validated maintenance (Section V-D). Insert rejects an EncryptedVector
   /// whose SAP length differs from dim() or whose DCE payload is not the
-  /// four blocks of 2*d_pad+16 doubles the dimension dictates; on a sharded
-  /// server the accepted vector routes to the least-loaded shard and the
-  /// returned id is global. On a gather node over remote shards the
-  /// mutation broadcasts through the cluster's MutationTransports
-  /// (ConnectCluster attaches them) — identical semantics over the wire, or
-  /// NotSupported when the connection predates the mutation protocol.
+  /// four blocks of 2*d_pad+16 doubles the dimension dictates; the accepted
+  /// vector routes to the least-loaded shard and the returned id is global.
+  /// On a gather node over remote shards the mutation broadcasts through the
+  /// cluster's MutationTransports (ConnectCluster attaches them) — identical
+  /// semantics over the wire, or NotSupported when the connection predates
+  /// the mutation protocol.
   Result<VectorId> Insert(const EncryptedVector& v);
   Status Delete(VectorId id);
 
@@ -200,30 +196,28 @@ class PpannsService {
   /// Lifetime counters of the enabled cache (PPANNS_CHECK if disabled).
   ResultCacheStats result_cache_stats() const;
 
-  std::size_t size() const;
-  std::size_t dim() const;
-  IndexKind index_kind() const;
-  std::size_t StorageBytes() const;
+  std::size_t size() const { return server_.size(); }
+  std::size_t dim() const { return server_.dim(); }
+  IndexKind index_kind() const { return server_.index_kind(); }
+  std::size_t StorageBytes() const { return server_.StorageBytes(); }
 
   /// Number of shards behind the facade (1 for the single-index topology).
-  std::size_t num_shards() const;
+  std::size_t num_shards() const { return server_.num_shards(); }
   /// Replicas per shard (1 for the single-index topology).
-  std::size_t num_replicas() const;
-  bool sharded() const {
-    return std::holds_alternative<ShardedCloudServer>(server_);
-  }
+  std::size_t num_replicas() const { return server_.replication_factor(); }
 
-  /// Topology-specific accessors; calling the wrong one is a programmer
-  /// error (PPANNS_CHECK).
-  const CloudServer& server() const;
-  const ShardedCloudServer& sharded_server() const;
-  /// Mutable sharded accessor for the replica health / fault-injection
-  /// surface (SetReplicaDown, SetReplicaDelayMs).
-  ShardedCloudServer& sharded_server_mutable();
+  /// The server behind the facade.
+  const ShardedCloudServer& sharded_server() const { return server_; }
+  /// Mutable accessor for the replica health / fault-injection and
+  /// maintenance surface (SetReplicaDown, SetReplicaDelayMs, MaybeCompact).
+  ShardedCloudServer& sharded_server_mutable() { return server_; }
 
   /// Snapshots the current package (including maintenance mutations) in the
-  /// matching on-disk format: the single-shard envelope or the sharded one.
-  void SerializeDatabase(BinaryWriter* out) const;
+  /// sharded envelope format — also for a package loaded from the
+  /// single-index format, which writes back as the 1x1 v1 envelope.
+  void SerializeDatabase(BinaryWriter* out) const {
+    server_.SerializeDatabase(out);
+  }
 
  private:
   /// The body of Search (`async` null) and SearchAsync: validate, admit,
@@ -249,7 +243,7 @@ class PpannsService {
   std::size_t ExpectedDceBlock() const;
 
   /// The database epoch cache entries are stamped with: the facade's
-  /// mutation counter plus the sharded server's state_version, so both
+  /// mutation counter plus the server's state_version, so both
   /// facade mutations and background compaction/split invalidate. On a
   /// remote gather state_version() is the cluster epoch fence — advanced by
   /// every mutation response and health ping — so remote mutations (even
@@ -262,7 +256,7 @@ class PpannsService {
     return result.counters.early_exit == EarlyExit::kNone && !result.partial;
   }
 
-  std::variant<CloudServer, ShardedCloudServer> server_;
+  ShardedCloudServer server_;
   std::optional<WalWriter> wal_;
   /// Present iff the result cache is enabled. unique_ptr keeps the facade
   /// movable (the cache itself holds mutexes and atomics).

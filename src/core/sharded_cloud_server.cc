@@ -227,35 +227,54 @@ std::vector<VectorId> LiveLocals(const SecureFilterIndex& index) {
 ShardedCloudServer::ShardedCloudServer(ShardedEncryptedDatabase db)
     : runtime_(std::make_unique<Runtime>()),
       maintenance_(std::make_unique<Maintenance>()) {
-  PPANNS_CHECK(!db.shards.empty());
-  const std::size_t num_replicas = db.shards.front().size();
+  std::vector<std::vector<CloudServer>> groups(db.shards.size());
+  for (std::size_t s = 0; s < db.shards.size(); ++s) {
+    for (EncryptedDatabase& replica : db.shards[s]) {
+      groups[s].emplace_back(std::move(replica));
+    }
+  }
+  Adopt(std::move(groups), std::move(db.manifest), db.state_version,
+        db.compaction_epochs);
+}
+
+ShardedCloudServer::ShardedCloudServer(CloudServer server)
+    : runtime_(std::make_unique<Runtime>()),
+      maintenance_(std::make_unique<Maintenance>()) {
+  ShardManifest manifest = ShardManifest::Identity(server.index().capacity());
+  std::vector<std::vector<CloudServer>> groups(1);
+  groups[0].push_back(std::move(server));
+  Adopt(std::move(groups), std::move(manifest), 0, {});
+}
+
+void ShardedCloudServer::Adopt(
+    std::vector<std::vector<CloudServer>> groups, ShardManifest manifest,
+    std::uint64_t state_version,
+    const std::vector<std::uint64_t>& compaction_epochs) {
+  PPANNS_CHECK(!groups.empty());
+  const std::size_t num_replicas = groups.front().size();
   PPANNS_CHECK(num_replicas >= 1);
 
   auto set = std::make_shared<ShardSet>();
   set->num_replicas = num_replicas;
-  set->manifest = std::move(db.manifest);
-  set->state_version = db.state_version;
+  set->manifest = std::move(manifest);
+  set->state_version = state_version;
 
   std::vector<std::size_t> capacities;
-  capacities.reserve(db.shards.size());
-  set->groups.reserve(db.shards.size());
-  for (std::size_t s = 0; s < db.shards.size(); ++s) {
+  capacities.reserve(groups.size());
+  set->groups.reserve(groups.size());
+  for (std::size_t s = 0; s < groups.size(); ++s) {
     // Uniform replica groups whose members agree on the local id space —
     // Deserialize enforces this on load, owner builds satisfy it by
     // construction.
-    PPANNS_CHECK(db.shards[s].size() == num_replicas);
+    PPANNS_CHECK(groups[s].size() == num_replicas);
     auto group = std::make_shared<ShardGroup>();
-    group->replicas.reserve(num_replicas);
-    for (EncryptedDatabase& replica : db.shards[s]) {
-      if (!group->replicas.empty()) {
-        PPANNS_CHECK(replica.index->capacity() ==
-                     group->replicas.front().index().capacity());
-      }
-      group->replicas.emplace_back(std::move(replica));
-    }
+    group->replicas = std::move(groups[s]);
     capacities.push_back(group->replicas.front().index().capacity());
+    for (const CloudServer& replica : group->replicas) {
+      PPANNS_CHECK(replica.index().capacity() == capacities[s]);
+    }
     group->compaction_epoch =
-        s < db.compaction_epochs.size() ? db.compaction_epochs[s] : 0;
+        s < compaction_epochs.size() ? compaction_epochs[s] : 0;
     group->local_to_global.resize(capacities[s], kInvalidVectorId);
     WireLocalGroup(group.get(), num_replicas);
     set->groups.push_back(std::move(group));
@@ -787,11 +806,13 @@ std::size_t ShardedCloudServer::live_replicas(std::size_t s) const {
 }
 
 int ShardedCloudServer::PickReplica(const ShardSet& set, std::size_t s,
-                                    std::size_t* skipped) {
+                                    std::size_t* skipped,
+                                    const std::vector<std::uint8_t>* tried) {
   int best = -1;
   int best_load = std::numeric_limits<int>::max();
   bool seen_live = false;
   for (std::size_t r = 0; r < set.num_replicas; ++r) {
+    if (tried != nullptr && (*tried)[r]) continue;
     if (ReplicaDown(set, s, r)) {
       // Down replicas ahead of the first live one count as skipped, matching
       // the first-live accounting the counters have always reported.
@@ -975,15 +996,51 @@ std::vector<SearchResult> ShardedCloudServer::Scatter(
             if (serving[s] < 0) continue;
             ItemOutcome& item = items[i];
             Timer item_timer;
-            item.served =
-                FilterVia(*set, s, static_cast<std::size_t>(serving[s]),
-                          tokens[i / num_shards], options, &item.ctx,
-                          &item.answer)
-                    .ok();
+            item.failed =
+                !FilterVia(*set, s, static_cast<std::size_t>(serving[s]),
+                           tokens[i / num_shards], options, &item.ctx,
+                           &item.answer)
+                     .ok();
+            item.served = !item.failed;
             item.seconds = item_timer.ElapsedSeconds();
+            if (item.failed) {
+              item.tried.assign(set->num_replicas, 0);
+              item.tried[static_cast<std::size_t>(serving[s])] = 1;
+            }
           }
         });
   }
+
+  // ---- Failover: a dispatch that failed (not one that found no live
+  // replica, nor one abandoned at the deadline) retries on the shard's
+  // least-loaded live replica the item has not tried yet. Replicas are
+  // byte-identical, so whichever answers, the ids are the same.
+  std::vector<std::size_t> failed;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].failed) failed.push_back(i);
+  }
+  ThreadPool::Global().ParallelFor(
+      failed.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t f = begin; f < end; ++f) {
+          const std::size_t i = failed[f];
+          const std::size_t s = i % num_shards;
+          ItemOutcome& item = items[i];
+          while (!item.served) {
+            const int r = PickReplica(*set, s, nullptr, &item.tried);
+            if (r < 0) break;
+            item.tried[static_cast<std::size_t>(r)] = 1;
+            item.ctx = query_ctx[i / num_shards]->Child();
+            item.answer = {};
+            Timer item_timer;
+            item.served =
+                FilterVia(*set, s, static_cast<std::size_t>(r),
+                          tokens[i / num_shards], options, &item.ctx,
+                          &item.answer)
+                    .ok();
+            item.seconds += item_timer.ElapsedSeconds();
+          }
+        }
+      });
 
   // ---- Gather: merge and refine each query, fanned across queries.
   ThreadPool::Global().ParallelFor(
@@ -1010,7 +1067,6 @@ ShardedCloudServer::RunHedgedScatter(
   ThreadPool& pool = ThreadPool::Global();
   const std::size_t num_shards = set->groups.size();
   const std::size_t num_items = tokens.size() * num_shards;
-  const std::size_t num_replicas = set->num_replicas;
   Runtime* const rt = runtime_.get();
   std::vector<ItemOutcome> outcome(num_items);
 
@@ -1026,7 +1082,9 @@ ShardedCloudServer::RunHedgedScatter(
     /// frame on the wire.
     std::atomic<bool> claimed{false};
     bool answered = false;     // guarded by Coordinator::mu
-    bool served = false;       // winner's Status was OK, guarded by mu
+    bool served = false;       // a dispatch answered, guarded by mu
+    bool failed = false;       // every dispatch failed, guarded by mu
+    int running = 0;           // dispatches issued, not failed; guarded by mu
     ShardFilterResult answer;  // guarded by mu
     SearchContext ctx;         // winner's stats and reason, guarded by mu
     double seconds = 0.0;      // winner's delay + scan time, guarded by mu
@@ -1093,15 +1151,14 @@ ShardedCloudServer::RunHedgedScatter(
         Finish();
         return;
       }
-      if (!slot.claimed.exchange(true, std::memory_order_acq_rel)) {
-        // First finisher wins — including a failed dispatch (dead remote
-        // connection), which publishes as unserved so the gather never
-        // hangs and the query comes back partial; the transport's health
-        // flag steers future dispatches away.
+      if (!st.ok()) {
+        PublishFailure(slot, item_timer.ElapsedSeconds());
+      } else if (!slot.claimed.exchange(true, std::memory_order_acq_rel)) {
+        // First answer wins.
         std::lock_guard<std::mutex> lock(co->mu);
         slot.answered = true;
-        slot.served = st.ok();
-        if (st.ok()) slot.answer = std::move(answer);
+        slot.served = true;
+        slot.answer = std::move(answer);
         slot.ctx = ctx;
         slot.seconds = item_timer.ElapsedSeconds();
         --co->pending;
@@ -1111,6 +1168,25 @@ ShardedCloudServer::RunHedgedScatter(
         RecordWaste();
       }
       Finish();
+    }
+
+    /// A failed dispatch (dead remote connection, server shed) answers its
+    /// item only as the item's last running dispatch — a slower replica
+    /// still working on it may yet answer — and then as failed, so the
+    /// gather never hangs and Scatter fails the item over to a replica it
+    /// has not tried.
+    void PublishFailure(ItemSlot& slot, double seconds) {
+      std::lock_guard<std::mutex> lock(co->mu);
+      if (--slot.running > 0 ||
+          slot.claimed.exchange(true, std::memory_order_acq_rel)) {
+        return;
+      }
+      slot.answered = true;
+      slot.failed = true;
+      slot.ctx = ctx;
+      slot.seconds = seconds;
+      --co->pending;
+      co->cv.notify_all();
     }
 
     /// Lost the race after burning real work: account it. This counter
@@ -1151,9 +1227,8 @@ ShardedCloudServer::RunHedgedScatter(
   // ---- Initial scatter: every item to the least-loaded live replica of
   // its shard, on the pool. An item whose shard has no live replica is
   // answered at once, unserved.
-  std::vector<std::vector<std::uint8_t>> dispatched(
-      num_items, std::vector<std::uint8_t>(num_replicas, 0));
   for (std::size_t i = 0; i < num_items; ++i) {
+    outcome[i].tried.assign(set->num_replicas, 0);
     const int r = PickReplica(*set, i % num_shards, &outcome[i].skipped);
     if (r < 0) {
       std::lock_guard<std::mutex> lock(co->mu);
@@ -1161,7 +1236,8 @@ ShardedCloudServer::RunHedgedScatter(
       --co->pending;
       continue;
     }
-    dispatched[i][static_cast<std::size_t>(r)] = 1;
+    outcome[i].tried[static_cast<std::size_t>(r)] = 1;
+    co->slots[i].running = 1;  // published to the dispatch by Submit
     pool.Submit(make_dispatch(i, static_cast<std::size_t>(r)));
   }
 
@@ -1216,24 +1292,17 @@ ShardedCloudServer::RunHedgedScatter(
       escalation_left = false;
       for (std::size_t i = 0; i < num_items; ++i) {
         if (co->slots[i].answered) continue;
-        const std::size_t s = i % num_shards;
-        int best = -1;
-        int best_load = std::numeric_limits<int>::max();
-        std::size_t undispatched_live = 0;
-        for (std::size_t r = 0; r < num_replicas; ++r) {
-          if (dispatched[i][r] || ReplicaDown(*set, s, r)) continue;
-          ++undispatched_live;
-          const int load = set->groups[s]->state[r].inflight.load(
-              std::memory_order_acquire);
-          if (load < best_load) {
-            best_load = load;
-            best = static_cast<int>(r);
-          }
-        }
+        std::vector<std::uint8_t>& tried = outcome[i].tried;
+        const int best = PickReplica(*set, i % num_shards, nullptr, &tried);
         if (best < 0) continue;
-        dispatched[i][static_cast<std::size_t>(best)] = 1;
+        tried[static_cast<std::size_t>(best)] = 1;
         ++outcome[i].hedges;
-        if (undispatched_live > 1) escalation_left = true;
+        // Counted under the lock that decided the hedge, so a dispatch of
+        // this item failing meanwhile leaves the item to the hedge.
+        ++co->slots[i].running;
+        if (PickReplica(*set, i % num_shards, nullptr, &tried) >= 0) {
+          escalation_left = true;
+        }
         to_run.emplace_back(i, static_cast<std::size_t>(best));
       }
       ++level;
@@ -1257,6 +1326,7 @@ ShardedCloudServer::RunHedgedScatter(
       outcome[i].ctx.MergeChild(slot.ctx);  // stats and reason, no flags
       outcome[i].seconds = slot.seconds;
       outcome[i].served = slot.served;
+      outcome[i].failed = slot.failed;
     }
   }
   *wasted_nodes = co->wasted_nodes.load(std::memory_order_acquire);

@@ -18,8 +18,8 @@
 // merge and one DCE refine per query. Replication makes the tier
 // latency-hiding and loss-tolerant. Every shard may carry R byte-identical
 // replicas; any replica answers for the shard with identical results, so
-//  * replica loss fails over to a live replica without changing a single
-//    result id;
+//  * replica loss — a replica marked down, or a dispatch that fails —
+//    fails over to a live replica without changing a single result id;
 //  * with hedging on, work items run as ThreadPool tasks and, when one
 //    misses the hedging deadline, the same work runs on the shard's
 //    next-best live replica *inline on the gather thread* — first answer
@@ -27,9 +27,9 @@
 //    registered as a cancellation source in the loser's SearchContext, so
 //    its index hot loop stops at the next probe instead of finishing a scan
 //    nobody will read;
-//  * a shard that does not answer (no live replica, a failed dispatch, the
-//    deadline) degrades to a partial result (flag on SearchResult) or, on
-//    SearchAsync, a Status per AsyncOptions.
+//  * a shard that does not answer (no live replica, every live replica's
+//    dispatch failed, the deadline) degrades to a partial result (flag on
+//    SearchResult) or, on SearchAsync, a Status per AsyncOptions.
 //
 // Live mutation (the epoch-swap path). The whole serving state — replica
 // groups, manifest, transports — lives in an immutable-on-swap ShardSet
@@ -120,6 +120,12 @@ class ShardedCloudServer {
   /// consistent by construction).
   explicit ShardedCloudServer(ShardedEncryptedDatabase db);
 
+  /// The single-index topology: one shard of one replica whose global ids
+  /// are its local ids (ShardManifest::Identity over the whole capacity,
+  /// tombstones included). Serves, mutates and serializes like any other
+  /// package — as the 1x1 sharded envelope.
+  explicit ShardedCloudServer(CloudServer server);
+
   /// Topology of a package whose shards live behind remote transports — what
   /// a ShardServer advertises in its handshake. A remote gather node holds no
   /// shard data, so these figures are the handshake-time snapshot.
@@ -178,10 +184,11 @@ class ShardedCloudServer {
   /// but the gather is a barrier — one slow replica stalls the query, which
   /// is exactly what SearchAsync exists to avoid. Dispatch is load-aware:
   /// each shard serves from its least-inflight live replica (ties go to the
-  /// lowest replica id, so an idle cluster serves from replica 0); a shard
-  /// that does not answer — no live replica, or a failed dispatch — is left
-  /// out and the result is marked partial. Thread-safe for concurrent const
-  /// calls, like CloudServer::Search — including concurrently with a
+  /// lowest replica id, so an idle cluster serves from replica 0), and a
+  /// failed dispatch retries on the shard's next live replica; a shard that
+  /// does not answer — no live replica, or every live replica failed — is
+  /// left out and the result is marked partial. Thread-safe for concurrent
+  /// const calls, like CloudServer::Search — including concurrently with a
   /// compaction or split swap (the query pins the pre-swap set and finishes
   /// on it). The `ctx` overload threads the caller's SearchContext into
   /// every per-shard scan (each shard runs a Child context; stats merge
@@ -396,6 +403,12 @@ class ShardedCloudServer {
   struct Maintenance;
 
  private:
+  /// The local constructors' shared body: wires `groups[s][r]` as replica r
+  /// of shard s behind `manifest` and publishes the first ShardSet.
+  void Adopt(std::vector<std::vector<CloudServer>> groups,
+             ShardManifest manifest, std::uint64_t state_version,
+             const std::vector<std::uint64_t>& compaction_epochs);
+
   /// Waits until no abandoned async work item (hedge loser) is still
   /// touching the shards — losers cancel at their next claim-flag check, so
   /// this is short. Called before in-place mutation (Insert/Delete),
@@ -408,11 +421,13 @@ class ShardedCloudServer {
   static bool ReplicaDown(const ShardSet& set, std::size_t s, std::size_t r);
 
   /// Load-aware dispatch: the least-inflight live replica of shard s (ties
-  /// to the lowest replica id), or -1 if all are down. `skipped` accumulates
-  /// the down replicas ahead of the first live one, preserving the
-  /// first-live accounting of SearchCounters::replicas_skipped.
+  /// to the lowest replica id) among those not marked in `tried`, or -1 if
+  /// none is left. `skipped` accumulates the down replicas ahead of the
+  /// first live one, preserving the first-live accounting of
+  /// SearchCounters::replicas_skipped.
   static int PickReplica(const ShardSet& set, std::size_t s,
-                         std::size_t* skipped = nullptr);
+                         std::size_t* skipped = nullptr,
+                         const std::vector<std::uint8_t>* tried = nullptr);
 
   /// One (query, shard) filter work item through the replica's transport —
   /// in-process scan or remote RPC, interchangeably — maintaining the
@@ -440,9 +455,17 @@ class ShardedCloudServer {
     double seconds = 0.0;      ///< the winning dispatch's time
     std::size_t hedges = 0;    ///< hedge dispatches issued for the item
     std::size_t skipped = 0;   ///< down replicas passed over at dispatch
+    /// tried[r] is set once the item has been dispatched to replica r, so
+    /// failover never runs it on the same replica twice. The barrier
+    /// dispatch fills it only for an item that failed — the one case
+    /// failover reads it — so a healthy scatter allocates nothing per item.
+    std::vector<std::uint8_t> tried;
     /// False when the shard did not answer: no live replica, a failed
     /// dispatch, or abandoned by the gather at the deadline.
     bool served = false;
+    /// Every dispatch of the item so far returned a non-OK Status (dead
+    /// connection, server shed) — the case failover retries.
+    bool failed = false;
   };
 
   /// The scatter engine behind every search path. Pins the ShardSet once,
@@ -451,7 +474,9 @@ class ShardedCloudServer {
   /// and refines each query and fills its counters. Dispatch is hedged
   /// (RunHedgedScatter) when async.hedge_ms > 0 and the caller is not a pool
   /// worker; otherwise it is a barrier ParallelFor over the items, each
-  /// shard served by the replica PickReplica chose once for the call.
+  /// shard served by the replica PickReplica chose once for the call. After
+  /// either, every item whose dispatch failed fails over to its shard's
+  /// remaining live replicas, least-loaded first, until one answers.
   std::vector<SearchResult> Scatter(std::span<const QueryToken> tokens,
                                     std::size_t k,
                                     const SearchSettings& settings,
@@ -462,9 +487,10 @@ class ShardedCloudServer {
   /// its load-aware replica on the pool, escalates items that miss
   /// async.hedge_ms to the shard's next-best live replica *inline on the
   /// gather thread*, and aborts losers mid-scan via the claim flag when
-  /// async.mid_scan_cancel is set. The coordinator keeps `set` pinned until
-  /// the last loser finishes, so a compaction swap mid-query can never free
-  /// state a straggler still reads. Every dispatch runs on a Child of its
+  /// async.mid_scan_cancel is set. A failed dispatch settles its item only
+  /// as the item's last running dispatch. The coordinator keeps `set`
+  /// pinned until the last loser finishes, so a compaction swap mid-query
+  /// can never free state a straggler still reads. Every dispatch runs on a Child of its
   /// query's context; the gather gives up at the earliest query deadline.
   /// Loser nodes observed by the time the gather finished go to
   /// `wasted_nodes` (late losers land only in the Runtime-wide counters).

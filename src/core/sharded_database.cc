@@ -151,6 +151,20 @@ void ShardedEncryptedDatabase::Serialize(BinaryWriter* out) const {
 Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
     BinaryReader* in) {
   std::uint32_t magic = 0, version = 0, num_shards = 0, num_replicas = 1;
+  if (in->remaining() >= sizeof(magic)) {
+    std::memcpy(&magic, in->bytes() + in->position(), sizeof(magic));
+  }
+  if (magic == kEncryptedDatabaseMagic) {
+    // A single-index package is one shard of one replica whose global ids
+    // are its local ids.
+    Result<EncryptedDatabase> single = EncryptedDatabase::Deserialize(in);
+    if (!single.ok()) return single.status();
+    ShardedEncryptedDatabase db;
+    db.manifest = ShardManifest::Identity(single->index->capacity());
+    db.shards.resize(1);
+    db.shards[0].push_back(std::move(*single));
+    return db;
+  }
   PPANNS_RETURN_IF_ERROR(in->Get(&magic));
   const std::size_t crc_begin = in->position();
   if (magic != kShardedMagic) {
@@ -262,14 +276,6 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
     }
   }
   return db;
-}
-
-bool ShardedEncryptedDatabase::LooksSharded(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < sizeof(std::uint32_t)) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  return magic == kShardedMagic;
 }
 
 }  // namespace ppanns

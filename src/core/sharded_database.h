@@ -71,6 +71,18 @@ struct ShardManifest {
     return n;
   }
 
+  /// The manifest of a single-index package served as one shard: global id
+  /// g is (shard 0, local g) over the whole capacity, tombstones included (a
+  /// deleted slot keeps its id, exactly as in the single-index package).
+  static ShardManifest Identity(std::size_t capacity) {
+    ShardManifest m;
+    m.entries.reserve(capacity);
+    for (std::size_t g = 0; g < capacity; ++g) {
+      m.Append(0, static_cast<VectorId>(g));
+    }
+    return m;
+  }
+
   void Serialize(BinaryWriter* out) const { out->PutVector(entries); }
 
   static Result<ShardManifest> Deserialize(BinaryReader* in) {
@@ -137,15 +149,14 @@ struct ShardedEncryptedDatabase {
   /// rejected, never half-applied.
   static void FinishEnvelopeV3(BinaryWriter* out, std::size_t crc_begin);
 
-  /// Reads either envelope version, loading each replica through the
-  /// existing EncryptedDatabase path, and rejects inconsistent packages:
-  /// manifests with overlapping ids, out-of-range shards or coverage
-  /// mismatches, and replica groups whose members disagree on capacity.
+  /// Reads any envelope version, loading each replica through the existing
+  /// EncryptedDatabase path, and rejects inconsistent packages: manifests
+  /// with overlapping ids, out-of-range shards or coverage mismatches, and
+  /// replica groups whose members disagree on capacity. A bare single-index
+  /// ("PPDB") package loads as the 1x1, state-version-0 package it
+  /// describes, with the identity manifest — so every load path reads both
+  /// formats through this one call.
   static Result<ShardedEncryptedDatabase> Deserialize(BinaryReader* in);
-
-  /// True if `bytes` starts with the sharded envelope magic — the cheap
-  /// topology probe used by load paths that accept either format.
-  static bool LooksSharded(const std::vector<std::uint8_t>& bytes);
 };
 
 }  // namespace ppanns

@@ -55,7 +55,6 @@ ShardServer::ShardServer(PpannsService* service,
       options_(std::move(options)) {
   // A server needs the actual replicas behind it; a remote (stub-backed)
   // facade has none to serve.
-  PPANNS_CHECK(service_->sharded());
   PPANNS_CHECK(!service_->sharded_server().remote());
   if (served_shards_.empty()) {
     for (std::size_t s = 0; s < service_->num_shards(); ++s) {

@@ -693,6 +693,109 @@ TEST_F(AsyncServingTest, FailedDispatchIsPartialOnEveryPath) {
   }
 }
 
+// A failed dispatch fails over: with shard 2's replica 0 failing every
+// dispatch and its replica 1 healthy, every serving path retries the item on
+// replica 1 and answers in full, with the ids of a healthy gather.
+TEST_F(AsyncServingTest, FailedDispatchFailsOverToTheNextReplica) {
+  const std::size_t k = 8;
+  const std::size_t failing_shard = 2;
+  const ShardedCloudServer& backend = service_->sharded_server();
+  const auto gather = [&](bool inject_failure) {
+    ShardedCloudServer::RemoteTopology topology;
+    topology.num_shards = backend.num_shards();
+    topology.num_replicas = 2;
+    topology.dim = backend.dim();
+    topology.index_kind = backend.index_kind();
+    topology.size = backend.size();
+    topology.capacity = backend.capacity();
+    std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
+        topology.num_shards);
+    for (std::size_t s = 0; s < topology.num_shards; ++s) {
+      for (std::size_t r = 0; r < topology.num_replicas; ++r) {
+        if (inject_failure && s == failing_shard && r == 0) {
+          transports[s].push_back(std::make_unique<FailingTransport>());
+        } else {
+          transports[s].push_back(
+              std::make_unique<InProcessTransport>(&backend, s));
+        }
+      }
+    }
+    return PpannsService{ShardedCloudServer(topology, std::move(transports))};
+  };
+  const PpannsService healthy = gather(false);
+  const PpannsService failing = gather(true);
+
+  std::vector<std::vector<VectorId>> want;
+  for (const QueryToken& token : tokens_) {
+    auto r = healthy.Search(token, k);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_FALSE(r->partial);
+    want.push_back(r->ids);
+  }
+  const AsyncOptions hedged{.hedge_ms = 1000.0};
+  for (std::size_t i = 0; i < tokens_.size(); ++i) {
+    auto sync = failing.Search(tokens_[i], k);
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    EXPECT_FALSE(sync->partial) << "Search, query " << i;
+    EXPECT_EQ(sync->ids, want[i]) << "Search, query " << i;
+    auto async = failing.SearchAsync(tokens_[i], k, {}, hedged);
+    ASSERT_TRUE(async.ok()) << async.status().ToString();
+    EXPECT_FALSE(async->partial) << "SearchAsync, query " << i;
+    EXPECT_EQ(async->ids, want[i]) << "SearchAsync, query " << i;
+  }
+  auto plain = failing.SearchBatch(tokens_, k);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  auto hedged_batch = failing.SearchBatch(tokens_, k, {}, hedged);
+  ASSERT_TRUE(hedged_batch.ok()) << hedged_batch.status().ToString();
+  for (std::size_t i = 0; i < tokens_.size(); ++i) {
+    EXPECT_FALSE(plain->results[i].partial) << "SearchBatch, query " << i;
+    EXPECT_EQ(plain->results[i].ids, want[i]) << "SearchBatch, query " << i;
+    EXPECT_FALSE(hedged_batch->results[i].partial)
+        << "hedged SearchBatch, query " << i;
+    EXPECT_EQ(hedged_batch->results[i].ids, want[i])
+        << "hedged SearchBatch, query " << i;
+  }
+}
+
+// A failed hedge does not cut off a slower healthy dispatch: shard 2's
+// replica 0 is 50 ms slow, the hedge to its replica 1 fails at once, and the
+// item still gets replica 0's answer instead of coming back partial.
+TEST_F(AsyncServingTest, FailedHedgeLeavesTheSlowReplicaToAnswer) {
+  const std::size_t k = 8;
+  const std::size_t slow_shard = 2;
+  ShardedCloudServer& backend = service_->sharded_server_mutable();
+  ShardedCloudServer::RemoteTopology topology;
+  topology.num_shards = backend.num_shards();
+  topology.num_replicas = 2;
+  topology.dim = backend.dim();
+  topology.index_kind = backend.index_kind();
+  topology.size = backend.size();
+  topology.capacity = backend.capacity();
+  std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
+      topology.num_shards);
+  for (std::size_t s = 0; s < topology.num_shards; ++s) {
+    transports[s].push_back(std::make_unique<InProcessTransport>(&backend, s));
+    if (s == slow_shard) {
+      transports[s].push_back(std::make_unique<FailingTransport>());
+    } else {
+      transports[s].push_back(
+          std::make_unique<InProcessTransport>(&backend, s));
+    }
+  }
+  const PpannsService gather{
+      ShardedCloudServer(topology, std::move(transports))};
+  const std::vector<std::vector<VectorId>> healthy = HealthyIds(k);
+
+  // InProcessTransport serves from the backend's replica 0 of the shard.
+  backend.SetReplicaDelayMs(slow_shard, 0, 50);
+  auto r = gather.SearchAsync(tokens_[0], k, {}, AsyncOptions{.hedge_ms = 5.0});
+  backend.SetReplicaDelayMs(slow_shard, 0, 0);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->counters.hedged_requests, 1u);
+  EXPECT_FALSE(r->partial);
+  EXPECT_EQ(r->ids, healthy[0]);
+}
+
 // A deadline that expires while the hedged gather waits abandons the
 // shards still out, and the query comes back DeadlineExceeded — also with
 // partial results disabled, where a shard that did not answer for any other

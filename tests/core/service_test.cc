@@ -151,7 +151,6 @@ TEST(ServiceValidationTest, ValidatesShardedTopology) {
   ASSERT_TRUE(owner.ok());
   PpannsService service{
       ShardedCloudServer(owner->EncryptAndIndexSharded(ds.base))};
-  ASSERT_TRUE(service.sharded());
   ASSERT_EQ(service.num_shards(), 3u);
   QueryClient client(owner->ShareKeys(), 10);
 

@@ -83,7 +83,7 @@ TEST_P(ShardedEquivalenceTest, BruteShardingMatchesUnshardedExactly) {
 
   // The construction guarantee the exact-id equivalence rests on: both
   // builds produced bit-identical SAP ciphertexts for every row.
-  const FloatMatrix& flat_sap = flat.server().index().data();
+  const FloatMatrix& flat_sap = flat.sharded_server().shard(0).index().data();
   for (VectorId g = 0; g < n; ++g) {
     const ShardRef& ref = sharded.sharded_server().manifest().at(g);
     const FloatMatrix& shard_sap =

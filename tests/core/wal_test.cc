@@ -489,9 +489,9 @@ WalSystem BuildWalSystem(std::size_t n, std::uint64_t seed) {
 /// graphs. The crash-replay equivalence below rests on exactly this.
 PpannsService LoadService(const std::vector<std::uint8_t>& bytes) {
   BinaryReader r(bytes);
-  auto db = EncryptedDatabase::Deserialize(&r);
+  auto db = ShardedEncryptedDatabase::Deserialize(&r);
   PPANNS_CHECK(db.ok());
-  return PpannsService{CloudServer(std::move(*db))};
+  return PpannsService{ShardedCloudServer(std::move(*db))};
 }
 
 struct Op {

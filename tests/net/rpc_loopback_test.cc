@@ -116,7 +116,6 @@ TEST_P(RemoteEquivalenceTest, RemoteGatherMatchesInProcessExactly) {
   EXPECT_EQ(lb.remote->size(), n);
   EXPECT_EQ(lb.remote->dim(), kDim);
   EXPECT_EQ(lb.remote->index_kind(), IndexKind::kBruteForce);
-  EXPECT_TRUE(lb.remote->sharded());
   EXPECT_TRUE(lb.remote->sharded_server().remote());
 
   const std::vector<QueryToken> tokens = MakeTokens(*lb.owner, ds, 33);
@@ -137,6 +136,44 @@ TEST_P(RemoteEquivalenceTest, RemoteGatherMatchesInProcessExactly) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, RemoteEquivalenceTest,
                          ::testing::Values(2u, 4u));
+
+// A single-index package is served as one shard of one replica, so a
+// ShardServer hosts it like any sharded package and the socket-backed gather
+// returns the in-process ids.
+TEST(RemoteSingleIndexTest, ShardServerOverSingleIndexPackageMatchesInProcess) {
+  const std::size_t n = 300, nq = 10, k = 8;
+  const Dataset ds = MakeData(n, nq, /*seed=*/41);
+  DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 1, 1, 41));
+  BinaryWriter w;
+  owner.EncryptAndIndex(ds.base).Serialize(&w);
+  const auto load = [&w] {
+    BinaryReader r(w.buffer());
+    auto db = ShardedEncryptedDatabase::Deserialize(&r);
+    PPANNS_CHECK(db.ok());
+    return PpannsService{ShardedCloudServer(std::move(*db))};
+  };
+  PpannsService local = load();
+  PpannsService backend = load();
+  ShardServer server(&backend, {});
+  ASSERT_TRUE(server.Start(0).ok());
+  auto connected = ConnectShardedService({Endpoint(server)}, 1);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  PpannsService remote(std::move(*connected));
+  EXPECT_EQ(remote.num_shards(), 1u);
+  EXPECT_EQ(remote.size(), n);
+
+  for (const QueryToken& token : MakeTokens(owner, ds, 43)) {
+    auto l = local.Search(token, k);
+    auto r = remote.Search(token, k);
+    ASSERT_TRUE(l.ok()) << l.status().ToString();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->partial);
+    EXPECT_EQ(r->ids, l->ids);
+    auto h = remote.SearchAsync(token, k, {}, AsyncOptions{});
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    EXPECT_EQ(h->ids, l->ids);
+  }
+}
 
 // A topology split across two endpoints (one server per shard) assembles
 // into the same gather; an endpoint set that leaves a shard unserved is a

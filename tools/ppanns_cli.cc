@@ -300,19 +300,13 @@ int CmdEncrypt(const Args& args) {
   return 0;
 }
 
-/// Loads either on-disk format behind the serving facade: the sharded
-/// envelope reconstructs a scatter-gather server, the single-shard format
-/// the classic one.
+/// Loads either on-disk format behind the serving facade: a single-index
+/// package is read as the 1x1 sharded package it is.
 Result<PpannsService> LoadService(const std::vector<std::uint8_t>& blob) {
   BinaryReader r(blob);
-  if (ShardedEncryptedDatabase::LooksSharded(blob)) {
-    auto db = ShardedEncryptedDatabase::Deserialize(&r);
-    if (!db.ok()) return db.status();
-    return PpannsService{ShardedCloudServer(std::move(*db))};
-  }
-  auto db = EncryptedDatabase::Deserialize(&r);
+  auto db = ShardedEncryptedDatabase::Deserialize(&r);
   if (!db.ok()) return db.status();
-  return PpannsService{CloudServer(std::move(*db))};
+  return PpannsService{ShardedCloudServer(std::move(*db))};
 }
 
 std::vector<std::string> SplitComma(const std::string& s) {
@@ -410,10 +404,6 @@ int CmdSearch(const Args& args) {
   // remote alike (failover is a gather-node decision).
   const std::string down = args.GetString("down");
   if (!down.empty()) {
-    if (!service.sharded()) {
-      std::fprintf(stderr, "--down requires a sharded database\n");
-      return 2;
-    }
     for (const std::string& item : SplitComma(down)) {
       std::size_t s = 0, r = 0;
       if (std::sscanf(item.c_str(), "%zu:%zu", &s, &r) != 2 ||
@@ -465,9 +455,9 @@ int CmdSearch(const Args& args) {
   // graphs; here it simply runs before the first query).
   const double compact_threshold = args.GetDouble("compact-threshold", -1.0);
   if (compact_threshold >= 0.0) {
-    if (!service.sharded() || !connect.empty()) {
-      std::fprintf(stderr, "--compact-threshold requires a local sharded "
-                   "database\n");
+    if (!connect.empty()) {
+      std::fprintf(stderr, "--compact-threshold requires a local --db "
+                   "package\n");
       return 2;
     }
     ShardedCloudServer::MaintenanceOptions mopts;
@@ -822,11 +812,6 @@ int CmdMutate(const Args& args) {
   std::size_t compacted = 0;
   const double compact_threshold = args.GetDouble("compact-threshold", -1.0);
   if (compact_threshold >= 0.0) {
-    if (!service.sharded()) {
-      std::fprintf(stderr, "--compact-threshold requires a sharded "
-                   "database\n");
-      return 2;
-    }
     ShardedCloudServer::MaintenanceOptions mopts;
     mopts.compact_threshold = compact_threshold;
     auto ops = service.sharded_server_mutable().MaybeCompact(mopts);
@@ -846,8 +831,7 @@ int CmdMutate(const Args& args) {
       return 1;
     }
   }
-  const std::uint64_t state_version =
-      service.sharded() ? service.sharded_server().state_version() : 0;
+  const std::uint64_t state_version = service.sharded_server().state_version();
   std::printf("mutate: %zu inserted, %zu deleted, %zu shard(s) compacted — "
               "%zu vectors live, state version %llu%s%s\n",
               inserted, deleted, compacted, service.size(),
@@ -998,52 +982,40 @@ int CmdInfo(const Args& args) {
     return 1;
   }
   BinaryReader r(*blob);
-  if (ShardedEncryptedDatabase::LooksSharded(*blob)) {
-    auto db = ShardedEncryptedDatabase::Deserialize(&r);
-    if (!db.ok()) {
-      std::fprintf(stderr, "db: %s\n", db.status().ToString().c_str());
-      return 1;
-    }
-    std::size_t live = 0, total = 0;
-    for (const auto& group : db->shards) {
-      live += group.front().index->size();
-      total += group.front().index->capacity();
-    }
-    std::printf("encrypted database: %s (sharded)\n",
-                args.GetString("db").c_str());
-    std::printf("  shards:         %zu\n", db->num_shards());
-    std::printf("  replicas/shard: %zu\n", db->replication_factor());
-    std::printf("  vectors:        %zu live (%zu deleted)\n", live,
-                total - live);
-    // state version 0 = a v1/v2 envelope that no structural maintenance has
-    // ever touched; > 0 = the checksummed v3 envelope.
-    std::printf("  state version:  %llu\n",
-                static_cast<unsigned long long>(db->state_version));
-    PrintWalInfo(args.GetString("wal-dir"));
-    for (std::size_t s = 0; s < db->shards.size(); ++s) {
-      const EncryptedDatabase& primary = db->shards[s].front();
-      const std::size_t cap = primary.index->capacity();
-      const double ratio =
-          cap == 0 ? 0.0
-                   : static_cast<double>(cap - primary.index->size()) /
-                         static_cast<double>(cap);
-      const std::uint64_t epoch =
-          s < db->compaction_epochs.size() ? db->compaction_epochs[s] : 0;
-      std::printf("  shard %zu:\n", s);
-      std::printf("    tombstones:     %.1f%% (last compaction epoch %llu)\n",
-                  100.0 * ratio, static_cast<unsigned long long>(epoch));
-      PrintIndexInfo(*primary.index, primary.DceBytes() / 1e6, "    ");
-    }
-    return 0;
-  }
-  auto db = EncryptedDatabase::Deserialize(&r);
+  auto db = ShardedEncryptedDatabase::Deserialize(&r);
   if (!db.ok()) {
     std::fprintf(stderr, "db: %s\n", db.status().ToString().c_str());
     return 1;
   }
+  std::size_t live = 0, total = 0;
+  for (const auto& group : db->shards) {
+    live += group.front().index->size();
+    total += group.front().index->capacity();
+  }
   std::printf("encrypted database: %s\n", args.GetString("db").c_str());
+  std::printf("  shards:         %zu\n", db->num_shards());
+  std::printf("  replicas/shard: %zu\n", db->replication_factor());
+  std::printf("  vectors:        %zu live (%zu deleted)\n", live, total - live);
+  // state version 0 = a single-index package or a v1/v2 envelope that no
+  // structural maintenance has ever touched; > 0 = the checksummed v3
+  // envelope.
+  std::printf("  state version:  %llu\n",
+              static_cast<unsigned long long>(db->state_version));
   PrintWalInfo(args.GetString("wal-dir"));
-  PrintIndexInfo(*db->index, db->DceBytes() / 1e6, "  ");
+  for (std::size_t s = 0; s < db->shards.size(); ++s) {
+    const EncryptedDatabase& primary = db->shards[s].front();
+    const std::size_t cap = primary.index->capacity();
+    const double ratio =
+        cap == 0 ? 0.0
+                 : static_cast<double>(cap - primary.index->size()) /
+                       static_cast<double>(cap);
+    const std::uint64_t epoch =
+        s < db->compaction_epochs.size() ? db->compaction_epochs[s] : 0;
+    std::printf("  shard %zu:\n", s);
+    std::printf("    tombstones:     %.1f%% (last compaction epoch %llu)\n",
+                100.0 * ratio, static_cast<unsigned long long>(epoch));
+    PrintIndexInfo(*primary.index, primary.DceBytes() / 1e6, "    ");
+  }
   return 0;
 }
 

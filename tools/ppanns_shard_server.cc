@@ -1,7 +1,7 @@
-// ppanns_shard_server — hosts the shard replicas of an encrypted sharded
-// package behind the PP-RPC protocol (docs/rpc-protocol.md), so a gather
-// node (`ppanns_cli search --connect host:port,...`) can scatter filter
-// work to it across a real socket.
+// ppanns_shard_server — hosts the shard replicas of an encrypted package
+// (sharded, or single-index as one shard) behind the PP-RPC protocol
+// (docs/rpc-protocol.md), so a gather node (`ppanns_cli search --connect
+// host:port,...`) can scatter filter work to it across a real socket.
 //
 // Typical two-process topology (both servers load the same package):
 //   ppanns_shard_server --db db.ppanns --port 7001 --shards 0
@@ -81,7 +81,7 @@ int Usage() {
       "usage: ppanns_shard_server --db db.ppanns [--port P]\n"
       "         [--shards 0,1,...] [--delay S:R:MS,...]\n"
       "         [--wal-dir DIR] [--auth-key-file FILE]\n"
-      "  --db      sharded encrypted package (ppanns_cli encrypt --shards N)\n"
+      "  --db      encrypted package (a single-index one serves as shard 0)\n"
       "  --port    TCP port to listen on (default 0 = ephemeral; the chosen\n"
       "            port is printed as 'listening on port N')\n"
       "  --shards  comma-separated shard ids this endpoint serves\n"
@@ -152,13 +152,6 @@ int main(int argc, char** argv) {
   auto blob = ReadFile(args.GetString("db"));
   if (!blob.ok()) {
     std::fprintf(stderr, "db: %s\n", blob.status().ToString().c_str());
-    return 1;
-  }
-  if (!ShardedEncryptedDatabase::LooksSharded(*blob)) {
-    std::fprintf(stderr,
-                 "db: %s is a single-shard package; a shard server needs the "
-                 "sharded envelope (ppanns_cli encrypt --shards N)\n",
-                 args.GetString("db").c_str());
     return 1;
   }
   BinaryReader reader(*blob);
