@@ -54,7 +54,7 @@ int main() {
   std::printf("encrypted package: %zu shards x %zu replicas (%s indexes over "
               "SAP + DCE layers)\n", package.num_shards(),
               package.replication_factor(),
-              IndexKindName(package.shards[0][0].index->kind()));
+              IndexKindName(package.shards[0].index->kind()));
 
   // ---- Outsource: serialize to disk, reload as "the cloud server".
   BinaryWriter writer;

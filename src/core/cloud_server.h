@@ -180,9 +180,8 @@ class CloudServer {
   /// Insert split in two (SecureFilterIndex::PlanInsert/ApplyInsert): the
   /// read-only, deterministic plan does all of the linking work, and the
   /// apply stores the SAP row with the planned lists and appends the DCE
-  /// ciphertext. A replicated shard plans on its primary once and applies
-  /// the same edit to every replica. Insert(v) is
-  /// ApplyInsert(PlanInsert(v), v). Returns the new local id.
+  /// ciphertext. Insert(v) is ApplyInsert(PlanInsert(v), v). Returns the
+  /// new local id.
   InsertEdit PlanInsert(const EncryptedVector& v) const {
     PPANNS_CHECK(v.sap.size() == db_.index->dim());
     return db_.index->PlanInsert(v.sap.data());
@@ -191,9 +190,8 @@ class CloudServer {
 
   /// Delete split in two (SecureFilterIndex::PlanRemove/ApplyRemove): the
   /// read-only, deterministic plan does all of the repair work, and the
-  /// apply assigns its result and blanks the DCE ciphertext. A replicated
-  /// shard plans on its primary once and applies the same edit to every
-  /// replica. Delete(id) is ApplyDelete(PlanDelete(id)).
+  /// apply assigns its result and blanks the DCE ciphertext.
+  /// Delete(id) is ApplyDelete(PlanDelete(id)).
   Result<RemoveEdit> PlanDelete(VectorId id) const {
     return db_.index->PlanRemove(id);
   }

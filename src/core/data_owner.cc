@@ -109,15 +109,15 @@ ShardedEncryptedDatabase DataOwner::EncryptAndIndexSharded(
   PPANNS_CHECK(data.dim() == dim_);
   const std::size_t num_shards = params_.num_shards;
 
-  // Primaries first; replicas are stamped out of the finished primaries at
-  // the end (they must be byte-identical, so copying beats rebuilding).
-  std::vector<EncryptedDatabase> primaries;
-  primaries.reserve(num_shards);
+  // One database per shard: the R replicas of a shard are identical, so the
+  // package holds each shard once and the envelope writes it R times.
+  ShardedEncryptedDatabase db;
+  db.num_replicas = params_.num_replicas;
+  db.shards.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    primaries.push_back(
+    db.shards.push_back(
         EncryptedDatabase{MakeFilterIndex(static_cast<ShardId>(s)), {}});
   }
-  ShardedEncryptedDatabase db;
 
   // Sequential SAP pass in global row order: the rng consumption matches
   // EncryptAndIndexParallel exactly (SAP-only pass, DCE randomness derived
@@ -135,7 +135,7 @@ ShardedEncryptedDatabase DataOwner::EncryptAndIndexSharded(
   for (std::size_t i = 0; i < data.size(); ++i) {
     db.manifest.Append(static_cast<ShardId>(i % num_shards),
                        static_cast<VectorId>(i / num_shards));
-    primaries[i % num_shards].dce.emplace_back();
+    db.shards[i % num_shards].dce.emplace_back();
   }
 
   // Parallel per-shard graph build: each shard's insertions stay in local
@@ -159,17 +159,21 @@ ShardedEncryptedDatabase DataOwner::EncryptAndIndexSharded(
                     : 0;
             const RowView shard_sap(shard_count > 0 ? sap.row(s) : nullptr,
                                     shard_count, dim_, num_shards * dim_);
-            primaries[s].index->BuildParallel(shard_sap, &ThreadPool::Global(),
+            db.shards[s].index->BuildParallel(shard_sap, &ThreadPool::Global(),
                                               build_threads);
-            PPANNS_CHECK(primaries[s].index->capacity() == shard_sap.size());
+            PPANNS_CHECK(db.shards[s].index->capacity() == shard_sap.size());
           } else {
             for (std::size_t i = s; i < data.size(); i += num_shards) {
-              const VectorId local = primaries[s].index->Add(sap.row(i));
+              const VectorId local = db.shards[s].index->Add(sap.row(i));
               PPANNS_CHECK(local == i / num_shards);
             }
           }
         }
       });
+
+  // Every index holds its own copy of its rows now; free the SAP matrix
+  // before the DCE pass allocates every ciphertext.
+  sap = FloatMatrix();
 
   // Parallel DCE pass with the same per-row derived randomness as
   // EncryptAndIndexParallel: ciphertexts are identical across shard counts
@@ -179,37 +183,11 @@ ShardedEncryptedDatabase DataOwner::EncryptAndIndexSharded(
       data.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           Rng row_rng(base_seed ^ (0x9E3779B97F4A7C15ull * (i + 1)));
-          primaries[i % num_shards].dce[i / num_shards] =
+          db.shards[i % num_shards].dce[i / num_shards] =
               keys_->dce.Encrypt(data.row(i), row_rng);
         }
       });
 
-  // Replicate: R - 1 byte-identical copies per shard, produced by a
-  // serialize/deserialize round-trip of the finished primary (the only deep
-  // copy the package format guarantees is exact). Independent shards copy in
-  // parallel.
-  const std::size_t num_replicas = params_.num_replicas;
-  db.shards.resize(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    db.shards[s].reserve(num_replicas);
-    db.shards[s].push_back(std::move(primaries[s]));
-  }
-  if (num_replicas > 1) {
-    ThreadPool::Global().ParallelFor(
-        num_shards, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t s = begin; s < end; ++s) {
-            BinaryWriter snapshot;
-            db.shards[s].front().Serialize(&snapshot);
-            for (std::size_t r = 1; r < num_replicas; ++r) {
-              BinaryReader reader(snapshot.buffer());
-              Result<EncryptedDatabase> copy =
-                  EncryptedDatabase::Deserialize(&reader);
-              PPANNS_CHECK(copy.ok());  // round-trip of our own bytes
-              db.shards[s].push_back(std::move(*copy));
-            }
-          }
-        });
-  }
   return db;
 }
 

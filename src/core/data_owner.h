@@ -62,8 +62,8 @@ class DataOwner {
   /// any shard count and the package is deterministic regardless of thread
   /// scheduling.
   ///
-  /// When params.num_replicas is R > 1, each shard is emitted R times as
-  /// byte-identical replicas (copies of the finished primary), so the
+  /// params.num_replicas (R) is recorded as the package's replica count:
+  /// each shard is built once and deployed as R identical replicas, so the
   /// serving tier can fail over on replica loss and hedge slow replicas
   /// with provably identical results.
   ShardedEncryptedDatabase EncryptAndIndexSharded(const FloatMatrix& data);

@@ -45,10 +45,11 @@ struct PpannsParams {
   /// ShardedEncryptedDatabase whose per-shard indexes build in parallel and
   /// are searched scatter-gather by ShardedCloudServer.
   std::uint32_t num_shards = 1;
-  /// Copies of every shard (serving-tier redundancy). 1 keeps the PR-2
-  /// layout; R > 1 makes DataOwner emit R byte-identical replicas per shard,
-  /// so ShardedCloudServer can fail over on replica loss and hedge slow
-  /// replicas without changing any result id. Only meaningful with
+  /// Replicas of every shard (serving-tier redundancy). 1 keeps the PR-2
+  /// layout; R > 1 deploys every shard as R identical replicas (the package
+  /// writes each shard's payload R times), so ShardedCloudServer can fail
+  /// over on replica loss and hedge slow replicas without changing any
+  /// result id. Only meaningful with
   /// num_shards >= 1 sharded builds (EncryptAndIndexSharded).
   std::uint32_t num_replicas = 1;
   /// Intra-shard index build threads (the HNSW wave builder; other backends

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,17 +18,18 @@
 namespace ppanns {
 
 // The epoch-swapped serving state. A ShardSet owns (through shared
-// ShardGroups) everything a query touches: replica CloudServers, the
+// ShardGroups) everything a query touches: one CloudServer per shard, the
 // local-to-global rows, the transports and the per-replica health/load
 // cells. Searches pin the set once and read only it; compaction/split build
 // a NEW set that shares every untouched group by shared_ptr and swap it in,
 // so an in-flight query — including an abandoned hedge loser — keeps its
 // graph alive through the pin until it finishes.
 struct ShardedCloudServer::ShardSet {
-  /// Per-replica health, fault-injection and load cells. Atomic so every
-  /// search path reads them lock-free; grouped per shard so a compaction
-  /// replaces exactly one shard's cells (down/delay/request values carry
-  /// over; in-flight resets — old dispatches drain against the old group).
+  /// One replica's dispatch slot: its health, fault-injection and load
+  /// cells. Atomic so every search path reads them lock-free; grouped per
+  /// shard so a compaction replaces exactly one shard's cells
+  /// (down/delay/request values carry over; in-flight resets — old
+  /// dispatches drain against the old group).
   struct ReplicaState {
     std::atomic<bool> down{false};
     std::atomic<int> delay_ms{0};
@@ -38,12 +40,15 @@ struct ShardedCloudServer::ShardSet {
     std::atomic<std::size_t> requests{0};
   };
 
-  /// One shard: its replicas, its local-id translation row, its transports
-  /// and its per-replica state. Self-contained — the transports point only
-  /// at objects inside the same group — so sets can share groups and a
-  /// compaction allocates exactly one new group.
+  /// One shard: its data, its local-id translation row, and R dispatch
+  /// slots over them — a transport and a ReplicaState cell per replica. In
+  /// process, every slot's transport scans the one shared `server` (the
+  /// replicas of a shard are identical, so one copy serves them all); over
+  /// the wire each slot reaches its own endpoint. Self-contained — the
+  /// transports point only at objects inside the same group — so sets can
+  /// share groups and a compaction allocates exactly one new group.
   struct ShardGroup {
-    std::vector<CloudServer> replicas;      ///< empty when remote
+    std::optional<CloudServer> server;      ///< empty when remote
     std::vector<VectorId> local_to_global;  ///< empty when remote
     std::unique_ptr<ReplicaState[]> state;  ///< [num_replicas]
     std::vector<std::unique_ptr<ShardTransport>> transports;
@@ -98,10 +103,10 @@ void InterruptibleDelay(int delay_ms, SearchContext* ctx) {
   }
 }
 
-/// The in-process ShardTransport: one replica behind a function call. Holds
-/// pointers only into its own ShardGroup — a dispatch that outlives a
-/// compaction swap keeps the group alive through the coordinator's pinned
-/// ShardSet, so these never dangle.
+/// The in-process ShardTransport: one replica slot's scan of its shard's
+/// CloudServer, behind a function call. Holds pointers only into its own
+/// ShardGroup — a dispatch that outlives a compaction swap keeps the group
+/// alive through the coordinator's pinned ShardSet, so these never dangle.
 class LocalShardTransport final : public ShardTransport {
  public:
   LocalShardTransport(const CloudServer* replica,
@@ -137,16 +142,16 @@ class LocalShardTransport final : public ShardTransport {
   const std::atomic<int>* delay_ms_;
 };
 
-/// Allocates a group's state cells and in-process transports once its
-/// replicas and local_to_global vector objects exist (the transports hold
-/// the vector's address, so the rows may still be filled afterwards).
+/// Allocates a group's R slots — state cells and in-process transports, all
+/// over the one server — once its server and local_to_global vector objects
+/// exist (the transports hold the vector's address, so the rows may still
+/// be filled afterwards).
 void WireLocalGroup(ShardGroup* group, std::size_t num_replicas) {
   group->state = std::make_unique<ReplicaState[]>(num_replicas);
   group->transports.reserve(num_replicas);
   for (std::size_t r = 0; r < num_replicas; ++r) {
     group->transports.push_back(std::make_unique<LocalShardTransport>(
-        &group->replicas[r], &group->local_to_global,
-        &group->state[r].delay_ms));
+        &*group->server, &group->local_to_global, &group->state[r].delay_ms));
   }
 }
 
@@ -171,26 +176,6 @@ EncryptedDatabase BuildCompactedShard(const SecureFilterIndex& old_index,
   return db;
 }
 
-/// R replicas of one freshly built shard, byte-identical by construction:
-/// the primary serializes once and the others deserialize that image —
-/// cheaper than re-running the (deterministic) build R times, and exactly
-/// how an owner-built package stamps its replicas.
-std::vector<CloudServer> ReplicateShard(EncryptedDatabase primary,
-                                        std::size_t num_replicas) {
-  std::vector<CloudServer> replicas;
-  replicas.reserve(num_replicas);
-  BinaryWriter image;
-  if (num_replicas > 1) primary.Serialize(&image);
-  replicas.emplace_back(std::move(primary));
-  for (std::size_t r = 1; r < num_replicas; ++r) {
-    BinaryReader in(image.buffer());
-    Result<EncryptedDatabase> copy = EncryptedDatabase::Deserialize(&in);
-    PPANNS_CHECK(copy.ok());
-    replicas.emplace_back(std::move(*copy));
-  }
-  return replicas;
-}
-
 /// Carries the admin-visible replica flags (down, injected delay, request
 /// totals) from a replaced group onto its rebuilt successor. In-flight
 /// counts reset: outstanding dispatches decrement the OLD group's cells, so
@@ -209,7 +194,7 @@ void CarryReplicaState(const ShardGroup& from, ShardGroup* to,
   }
 }
 
-/// Live local ids of a shard's primary index, ascending — the rank order a
+/// Live local ids of a shard's index, ascending — the rank order a
 /// compaction assigns new local ids in.
 std::vector<VectorId> LiveLocals(const SecureFilterIndex& index) {
   std::vector<VectorId> live;
@@ -227,31 +212,29 @@ std::vector<VectorId> LiveLocals(const SecureFilterIndex& index) {
 ShardedCloudServer::ShardedCloudServer(ShardedEncryptedDatabase db)
     : runtime_(std::make_unique<Runtime>()),
       maintenance_(std::make_unique<Maintenance>()) {
-  std::vector<std::vector<CloudServer>> groups(db.shards.size());
-  for (std::size_t s = 0; s < db.shards.size(); ++s) {
-    for (EncryptedDatabase& replica : db.shards[s]) {
-      groups[s].emplace_back(std::move(replica));
-    }
+  std::vector<CloudServer> shards;
+  shards.reserve(db.shards.size());
+  for (EncryptedDatabase& shard : db.shards) {
+    shards.emplace_back(std::move(shard));
   }
-  Adopt(std::move(groups), std::move(db.manifest), db.state_version,
-        db.compaction_epochs);
+  Adopt(std::move(shards), db.num_replicas, std::move(db.manifest),
+        db.state_version, db.compaction_epochs);
 }
 
 ShardedCloudServer::ShardedCloudServer(CloudServer server)
     : runtime_(std::make_unique<Runtime>()),
       maintenance_(std::make_unique<Maintenance>()) {
   ShardManifest manifest = ShardManifest::Identity(server.index().capacity());
-  std::vector<std::vector<CloudServer>> groups(1);
-  groups[0].push_back(std::move(server));
-  Adopt(std::move(groups), std::move(manifest), 0, {});
+  std::vector<CloudServer> shards;
+  shards.push_back(std::move(server));
+  Adopt(std::move(shards), 1, std::move(manifest), 0, {});
 }
 
 void ShardedCloudServer::Adopt(
-    std::vector<std::vector<CloudServer>> groups, ShardManifest manifest,
-    std::uint64_t state_version,
+    std::vector<CloudServer> shards, std::size_t num_replicas,
+    ShardManifest manifest, std::uint64_t state_version,
     const std::vector<std::uint64_t>& compaction_epochs) {
-  PPANNS_CHECK(!groups.empty());
-  const std::size_t num_replicas = groups.front().size();
+  PPANNS_CHECK(!shards.empty());
   PPANNS_CHECK(num_replicas >= 1);
 
   auto set = std::make_shared<ShardSet>();
@@ -260,19 +243,12 @@ void ShardedCloudServer::Adopt(
   set->state_version = state_version;
 
   std::vector<std::size_t> capacities;
-  capacities.reserve(groups.size());
-  set->groups.reserve(groups.size());
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    // Uniform replica groups whose members agree on the local id space —
-    // Deserialize enforces this on load, owner builds satisfy it by
-    // construction.
-    PPANNS_CHECK(groups[s].size() == num_replicas);
+  capacities.reserve(shards.size());
+  set->groups.reserve(shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
     auto group = std::make_shared<ShardGroup>();
-    group->replicas = std::move(groups[s]);
-    capacities.push_back(group->replicas.front().index().capacity());
-    for (const CloudServer& replica : group->replicas) {
-      PPANNS_CHECK(replica.index().capacity() == capacities[s]);
-    }
+    group->server.emplace(std::move(shards[s]));
+    capacities.push_back(group->server->index().capacity());
     group->compaction_epoch =
         s < compaction_epochs.size() ? compaction_epochs[s] : 0;
     group->local_to_global.resize(capacities[s], kInvalidVectorId);
@@ -444,17 +420,15 @@ Status ShardedCloudServer::CompactShardLocked(std::size_t s,
                                    "-shard topology");
   }
   const ShardGroup& old_group = *cur->groups[s];
-  const CloudServer& primary = old_group.replicas.front();
-  const std::vector<VectorId> live = LiveLocals(primary.index());
+  const CloudServer& old_shard = *old_group.server;
+  const std::vector<VectorId> live = LiveLocals(old_shard.index());
 
   // The expensive part — gathering rows and rebuilding the index — reads
   // the old group const while searches keep serving it. Nothing is
   // published until the single Swap below.
   auto group = std::make_shared<ShardGroup>();
-  group->replicas = ReplicateShard(
-      BuildCompactedShard(primary.index(), primary.dce_ciphertexts(), live,
-                          build_threads),
-      cur->num_replicas);
+  group->server.emplace(BuildCompactedShard(
+      old_shard.index(), old_shard.dce_ciphertexts(), live, build_threads));
   group->compaction_epoch = old_group.compaction_epoch + 1;
   group->local_to_global.resize(live.size(), kInvalidVectorId);
   WireLocalGroup(group.get(), cur->num_replicas);
@@ -475,7 +449,7 @@ Status ShardedCloudServer::CompactShardLocked(std::size_t s,
   // (forever — ids are never reused), so Delete reports NotFound and a
   // reloaded package validates.
   for (std::size_t l = 0; l < old_group.local_to_global.size(); ++l) {
-    if (!primary.index().IsDeleted(static_cast<VectorId>(l))) continue;
+    if (!old_shard.index().IsDeleted(static_cast<VectorId>(l))) continue;
     const VectorId g = old_group.local_to_global[l];
     if (g != kInvalidVectorId) next->manifest.entries[g] = kDeadShardRef;
   }
@@ -495,8 +469,8 @@ Status ShardedCloudServer::SplitShardLocked(std::size_t s,
                                    "-shard topology");
   }
   const ShardGroup& old_group = *cur->groups[s];
-  const CloudServer& primary = old_group.replicas.front();
-  const std::vector<VectorId> live = LiveLocals(primary.index());
+  const CloudServer& old_shard = *old_group.server;
+  const std::vector<VectorId> live = LiveLocals(old_shard.index());
   if (live.size() < 2) {
     return Status::FailedPrecondition("SplitShard: shard " +
                                       std::to_string(s) + " has " +
@@ -515,10 +489,8 @@ Status ShardedCloudServer::SplitShardLocked(std::size_t s,
 
   auto build_half = [&](std::span<const VectorId> half) {
     auto group = std::make_shared<ShardGroup>();
-    group->replicas = ReplicateShard(
-        BuildCompactedShard(primary.index(), primary.dce_ciphertexts(), half,
-                            build_threads),
-        cur->num_replicas);
+    group->server.emplace(BuildCompactedShard(
+        old_shard.index(), old_shard.dce_ciphertexts(), half, build_threads));
     group->compaction_epoch = old_group.compaction_epoch + 1;
     group->local_to_global.resize(half.size(), kInvalidVectorId);
     WireLocalGroup(group.get(), cur->num_replicas);
@@ -547,7 +519,7 @@ Status ShardedCloudServer::SplitShardLocked(std::size_t s,
     next->manifest.entries[g] = ShardRef{new_shard, static_cast<VectorId>(i)};
   }
   for (std::size_t l = 0; l < old_group.local_to_global.size(); ++l) {
-    if (!primary.index().IsDeleted(static_cast<VectorId>(l))) continue;
+    if (!old_shard.index().IsDeleted(static_cast<VectorId>(l))) continue;
     const VectorId g = old_group.local_to_global[l];
     if (g != kInvalidVectorId) next->manifest.entries[g] = kDeadShardRef;
   }
@@ -612,7 +584,7 @@ Result<std::size_t> ShardedCloudServer::MaybeCompact(
   const std::size_t shard_count = set_->Current()->groups.size();
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::shared_ptr<ShardSet> cur = set_->Current();
-    const SecureFilterIndex& index = cur->groups[s]->replicas.front().index();
+    const SecureFilterIndex& index = cur->groups[s]->server->index();
     if (index.capacity() == 0) continue;
     const std::size_t dead = index.capacity() - index.size();
     if (dead == 0) continue;
@@ -628,7 +600,7 @@ Result<std::size_t> ShardedCloudServer::MaybeCompact(
     const std::shared_ptr<ShardSet> cur = set_->Current();
     std::size_t total = 0, heaviest = 0, heaviest_size = 0;
     for (std::size_t s = 0; s < cur->groups.size(); ++s) {
-      const std::size_t live = cur->groups[s]->replicas.front().size();
+      const std::size_t live = cur->groups[s]->server->size();
       total += live;
       if (live > heaviest_size) {
         heaviest_size = live;
@@ -676,7 +648,7 @@ void ShardedCloudServer::StopMaintenance() {
 double ShardedCloudServer::tombstone_ratio(std::size_t s) const {
   PPANNS_CHECK(!remote_);
   const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const SecureFilterIndex& index = set->groups[s]->replicas.front().index();
+  const SecureFilterIndex& index = set->groups[s]->server->index();
   if (index.capacity() == 0) return 0.0;
   return static_cast<double>(index.capacity() - index.size()) /
          static_cast<double>(index.capacity());
@@ -704,7 +676,7 @@ std::size_t ShardedCloudServer::size() const {
   if (remote_) return topology_.size;
   const std::shared_ptr<const ShardSet> set = set_->Pin();
   std::size_t total = 0;
-  for (const auto& group : set->groups) total += group->replicas.front().size();
+  for (const auto& group : set->groups) total += group->server->size();
   return total;
 }
 
@@ -715,12 +687,12 @@ std::size_t ShardedCloudServer::capacity() const {
 
 std::size_t ShardedCloudServer::dim() const {
   if (remote_) return topology_.dim;
-  return set_->Pin()->groups.front()->replicas.front().index().dim();
+  return set_->Pin()->groups.front()->server->index().dim();
 }
 
 IndexKind ShardedCloudServer::index_kind() const {
   if (remote_) return topology_.index_kind;
-  return set_->Pin()->groups.front()->replicas.front().index().kind();
+  return set_->Pin()->groups.front()->server->index().kind();
 }
 
 std::size_t ShardedCloudServer::num_shards() const {
@@ -733,13 +705,13 @@ std::size_t ShardedCloudServer::replication_factor() const {
 
 const CloudServer& ShardedCloudServer::shard(std::size_t s) const {
   PPANNS_CHECK(!remote_);
-  return set_->Pin()->groups[s]->replicas.front();
+  return *set_->Pin()->groups[s]->server;
 }
 
 const CloudServer& ShardedCloudServer::replica(std::size_t s,
                                                std::size_t r) const {
-  PPANNS_CHECK(!remote_);
-  return set_->Pin()->groups[s]->replicas[r];
+  PPANNS_CHECK(r < replication_factor());
+  return shard(s);
 }
 
 const ShardManifest& ShardedCloudServer::manifest() const {
@@ -872,10 +844,8 @@ Status ShardedCloudServer::FilterShard(std::size_t s, std::size_t r,
   }
   PPANNS_RETURN_IF_ERROR(FilterVia(*set, s, r, token, options, ctx, out));
   if (options.want_dce) {
-    // Ship the candidates' ciphertexts for the remote refine phase. Any
-    // replica of the shard serves (ciphertexts are byte-identical); use the
-    // one that answered.
-    const CloudServer& source = set->groups[s]->replicas[r];
+    // Ship the candidates' ciphertexts for the remote refine phase.
+    const CloudServer& source = *set->groups[s]->server;
     out->dce.reserve(out->candidates.size());
     for (const Neighbor& nb : out->candidates) {
       const ShardRef& ref = set->manifest.at(nb.id);
@@ -920,8 +890,7 @@ void ShardedCloudServer::MergeAndRefine(
   if (merged.size() > k_prime) merged.resize(k_prime);
 
   // ---- Refine: one DCE ComparisonHeap over the merged budget. A local
-  // candidate's ciphertext is read in place from its shard's primary
-  // (ciphertexts are byte-identical across replicas).
+  // candidate's ciphertext is read in place from its shard.
   std::vector<Neighbor> candidates;
   std::vector<const DceCiphertext*> dce;
   candidates.reserve(merged.size());
@@ -933,8 +902,8 @@ void ShardedCloudServer::MergeAndRefine(
       dce.push_back(shipped);
     } else {
       const ShardRef& ref = set.manifest.at(nb.id);
-      const CloudServer& primary = set.groups[ref.shard]->replicas.front();
-      dce.push_back(&primary.dce_ciphertexts()[ref.local]);
+      const CloudServer& shard = *set.groups[ref.shard]->server;
+      dce.push_back(&shard.dce_ciphertexts()[ref.local]);
     }
   }
   RefineCandidates(candidates, dce, token, k, settings, ctx, result);
@@ -1014,7 +983,7 @@ std::vector<SearchResult> ShardedCloudServer::Scatter(
   // ---- Failover: a dispatch that failed (not one that found no live
   // replica, nor one abandoned at the deadline) retries on the shard's
   // least-loaded live replica the item has not tried yet. Replicas are
-  // byte-identical, so whichever answers, the ids are the same.
+  // identical, so whichever answers, the ids are the same.
   std::vector<std::size_t> failed;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (items[i].failed) failed.push_back(i);
@@ -1378,7 +1347,7 @@ Result<VectorId> ShardedCloudServer::Insert(const EncryptedVector& v) {
     return static_cast<VectorId>(outcome->id);
   }
   // In-place mutation of the current set: exclusive against structural
-  // maintenance (the mutex — a compaction reads the primary it is about to
+  // maintenance (the mutex — a compaction reads the shard it is about to
   // replace), and callers serialize it against their own searches as they
   // always had to. Abandoned hedge losers may still be reading the indexes
   // this mutation is about to touch; they cancel fast (claim flag / context
@@ -1390,18 +1359,13 @@ Result<VectorId> ShardedCloudServer::Insert(const EncryptedVector& v) {
   // routing is deterministic (and WAL replay reproduces it).
   std::size_t target = 0;
   for (std::size_t s = 1; s < set->groups.size(); ++s) {
-    if (set->groups[s]->replicas.front().size() <
-        set->groups[target]->replicas.front().size()) {
+    if (set->groups[s]->server->size() < set->groups[target]->server->size()) {
       target = s;
     }
   }
   ShardGroup& group = *set->groups[target];
-  // Plan once on the primary, then apply the same edit to every replica:
-  // the linking's distance work runs once per shard, and the replicas stay
-  // byte-identical by construction, so any of them can serve or fail over.
-  const InsertEdit edit = group.replicas.front().PlanInsert(v);
-  for (CloudServer& replica : group.replicas) replica.ApplyInsert(edit, v);
-  const VectorId local = edit.id;
+  // One insert per shard: every replica slot scans the same server.
+  const VectorId local = group.server->Insert(v);
   const VectorId global_id =
       set->manifest.Append(static_cast<ShardId>(target), local);
   PPANNS_CHECK(local == group.local_to_global.size());
@@ -1432,16 +1396,9 @@ Status ShardedCloudServer::Delete(VectorId global_id) {
     return Status::NotFound("Delete: global id " + std::to_string(global_id) +
                             " was already removed (compacted away)");
   }
-  ShardGroup& group = *set->groups[ref.shard];
-  // Plan once on the primary, then apply the same edit to every replica:
-  // the repair's distance work runs once per shard, and the replicas stay
-  // byte-identical by construction.
-  Result<RemoveEdit> edit = group.replicas.front().PlanDelete(ref.local);
-  if (edit.ok()) {
-    for (CloudServer& replica : group.replicas) replica.ApplyDelete(*edit);
-    return Status::OK();
-  }
-  const Status& st = edit.status();
+  // One delete per shard: every replica slot scans the same server.
+  const Status st = set->groups[ref.shard]->server->Delete(ref.local);
+  if (st.ok()) return st;
   // The per-shard status names the local id, which the caller never saw;
   // restate it in global terms.
   const std::string where = "Delete: global id " + std::to_string(global_id) +
@@ -1460,11 +1417,10 @@ Status ShardedCloudServer::Delete(VectorId global_id) {
 std::size_t ShardedCloudServer::StorageBytes() const {
   if (remote_) return topology_.storage_bytes;
   const std::shared_ptr<const ShardSet> set = set_->Pin();
+  // Deployment bytes: each shard counts once per replica it is served as.
   std::size_t total = set->manifest.size() * sizeof(ShardRef);
   for (const auto& group : set->groups) {
-    for (const CloudServer& replica : group->replicas) {
-      total += replica.StorageBytes();
-    }
+    total += group->server->StorageBytes() * set->num_replicas;
   }
   return total;
 }
@@ -1476,32 +1432,17 @@ void ShardedCloudServer::SerializeDatabase(BinaryWriter* out) const {
   // only read).
   std::lock_guard<std::mutex> lock(maintenance_->mu);
   const std::shared_ptr<const ShardSet> set = set_->Pin();
-  const auto num_shards = static_cast<std::uint32_t>(set->groups.size());
-  const auto num_replicas = static_cast<std::uint32_t>(set->num_replicas);
-  if (set->state_version > 0) {
-    std::vector<std::uint64_t> epochs;
-    epochs.reserve(set->groups.size());
-    for (const auto& group : set->groups) {
-      epochs.push_back(group->compaction_epoch);
-    }
-    const std::size_t crc_begin = ShardedEncryptedDatabase::WriteEnvelopeHeaderV3(
-        out, num_shards, num_replicas, set->state_version, epochs);
-    for (const auto& group : set->groups) {
-      for (const CloudServer& replica : group->replicas) {
-        replica.SerializeDatabase(out);
-      }
-    }
-    set->manifest.Serialize(out);
-    ShardedEncryptedDatabase::FinishEnvelopeV3(out, crc_begin);
-    return;
-  }
-  ShardedEncryptedDatabase::WriteEnvelopeHeader(out, num_shards, num_replicas);
+  std::vector<std::uint64_t> epochs;
+  epochs.reserve(set->groups.size());
   for (const auto& group : set->groups) {
-    for (const CloudServer& replica : group->replicas) {
-      replica.SerializeDatabase(out);
-    }
+    epochs.push_back(group->compaction_epoch);
   }
-  set->manifest.Serialize(out);
+  ShardedEncryptedDatabase::WriteEnvelope(
+      out, set->groups.size(), set->num_replicas, set->state_version, epochs,
+      [&set](std::size_t s, BinaryWriter* w) {
+        set->groups[s]->server->SerializeDatabase(w);
+      },
+      set->manifest);
 }
 
 }  // namespace ppanns

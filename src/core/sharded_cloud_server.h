@@ -1,5 +1,6 @@
-// The sharded, replicated cloud server: S replica groups of per-shard
-// CloudServers behind the single-shard result contract.
+// The sharded, replicated cloud server: S per-shard CloudServers, each
+// served through R replica dispatch slots, behind the single-shard result
+// contract.
 //
 // Search is scatter-gather. Every shard answers the full k'-ANNS filter
 // phase over its own SecureFilterIndex (the scatter fans across the global
@@ -16,8 +17,12 @@
 // Every search path — Search, SearchAsync, SearchBatchScattered — runs
 // through one private scatter engine: one work item per (query, shard), one
 // merge and one DCE refine per query. Replication makes the tier
-// latency-hiding and loss-tolerant. Every shard may carry R byte-identical
-// replicas; any replica answers for the shard with identical results, so
+// latency-hiding and loss-tolerant. Every shard may carry R replicas; any
+// replica answers for the shard with identical results. In process, the R
+// replicas are R dispatch slots over one shared CloudServer — each slot has
+// its own transport, down flag, injected delay and load counters, and the
+// shard's data is built, mutated and swapped once. Over the wire each slot
+// reaches its own endpoint. So
 //  * replica loss — a replica marked down, or a dispatch that fails —
 //    fails over to a live replica without changing a single result id;
 //  * with hedging on, work items run as ThreadPool tasks and, when one
@@ -31,7 +36,7 @@
 //    dispatch failed, the deadline) degrades to a partial result (flag on
 //    SearchResult) or, on SearchAsync, a Status per AsyncOptions.
 //
-// Live mutation (the epoch-swap path). The whole serving state — replica
+// Live mutation (the epoch-swap path). The whole serving state — shard
 // groups, manifest, transports — lives in an immutable-on-swap ShardSet
 // behind an EpochPtr. Every search pins the current set once and reads only
 // it; structural maintenance (tombstone compaction, shard split) builds a
@@ -89,7 +94,7 @@ struct AsyncOptions {
 };
 
 /// The sharded, replicated serving tier: scatter-gathers Algorithm 2 across
-/// S shards of R byte-identical replicas each, behind the single-shard
+/// S shards of R dispatch slots each, behind the single-shard
 /// result contract. One scatter engine serves a synchronous barrier gather
 /// (Search), an async hedged gather that hides stragglers (SearchAsync), and
 /// a batch-level (query, shard) fan-out (SearchBatchScattered); fails over
@@ -116,8 +121,9 @@ class ShardedCloudServer {
   };
 
   /// Takes ownership of a validated package (Deserialize has already checked
-  /// the manifest and replica-group consistency; owner-built packages are
-  /// consistent by construction).
+  /// the manifest and replica consistency; owner-built packages are
+  /// consistent by construction). Each shard is held once and served
+  /// through num_replicas slots.
   explicit ShardedCloudServer(ShardedEncryptedDatabase db);
 
   /// The single-index topology: one shard of one replica whose global ids
@@ -153,9 +159,9 @@ class ShardedCloudServer {
 
   /// Arms the remote mutation path of a gather node: every Insert/Delete/
   /// maintenance call broadcasts through ALL attached transports (each
-  /// endpoint loads the full package, so replicated endpoints stay
-  /// byte-identical the way in-process replicas do) and requires their
-  /// outcomes to agree. Remote servers only; without transports the mutation
+  /// endpoint loads the full package and applies the same deterministic
+  /// mutation, so replicated endpoints stay byte-identical) and requires
+  /// their outcomes to agree. Remote servers only; without transports the mutation
   /// surface stays NotSupported.
   void AttachMutationTransports(
       std::vector<std::unique_ptr<MutationTransport>> transports);
@@ -209,7 +215,7 @@ class ShardedCloudServer {
   /// is stuck behind a straggler. A lost hedge aborts mid-scan through the
   /// claim flag in its SearchContext (AsyncOptions::mid_scan_cancel).
   /// Results are identical to Search on a healthy cluster — replicas are
-  /// byte-identical, so *which* replica answers never changes the ids.
+  /// identical, so *which* replica answers never changes the ids.
   /// Degrades per AsyncOptions when a shard does not answer (a partial
   /// result, or FailedPrecondition with allow_partial off); fails with
   /// FailedPrecondition when no shard is serveable. Falls back to the
@@ -239,10 +245,9 @@ class ShardedCloudServer {
       const AsyncOptions& async = {.hedge_ms = 0.0}) const;
 
   /// Inserts a freshly encrypted vector into the least-loaded shard and
-  /// returns its dense *global* id. The insert is planned on the shard's
-  /// primary once (CloudServer::PlanInsert) and the same edit is applied to
-  /// every replica, so the linking runs once per shard and the replicas stay
-  /// byte-identical. Serialized against maintenance by the maintenance
+  /// returns its dense *global* id. The insert runs once per shard — every
+  /// replica slot serves the same CloudServer. Serialized against
+  /// maintenance by the maintenance
   /// mutex; callers serialize it against their own searches (the
   /// pre-existing mutation contract). On a remote server with attached
   /// MutationTransports the insert broadcasts to every endpoint and the
@@ -250,9 +255,8 @@ class ShardedCloudServer {
   /// with FailedPrecondition; without transports: NotSupported.
   Result<VectorId> Insert(const EncryptedVector& v);
 
-  /// Removes the vector behind a global id: a manifest lookup, then the
-  /// delete is planned on its shard's primary once (CloudServer::PlanDelete)
-  /// and the same edit is applied to every replica. InvalidArgument if the
+  /// Removes the vector behind a global id: a manifest lookup, then one
+  /// CloudServer::Delete on its shard. InvalidArgument if the
   /// id was never assigned; NotFound if it was already removed — including
   /// when a compaction has since physically dropped the tombstoned slot (a
   /// dead manifest ref). Broadcasts like Insert on a remote server with
@@ -265,7 +269,7 @@ class ShardedCloudServer {
 
   /// Rebuilds shard s without its tombstones: gathers the live rows in
   /// local-id order, builds a fresh filter index (deterministic wave
-  /// builder) plus the compacted DCE array, stamps byte-identical replicas,
+  /// builder) plus the compacted DCE array — once, for every replica slot —
   /// rewrites the manifest (live ids relocate, tombstoned ids become dead
   /// refs) and swaps the new ShardSet in under the epoch pointer. In-flight
   /// searches finish on the old set; new ones see only the compacted shard.
@@ -297,7 +301,7 @@ class ShardedCloudServer {
   // ---- Maintenance observability (admin / CLI surface).
 
   /// Tombstoned fraction of shard s: (capacity - live) / capacity of its
-  /// primary index; 0 for an empty shard. Local only.
+  /// index; 0 for an empty shard. Local only.
   double tombstone_ratio(std::size_t s) const;
   /// How many times shard s has been structurally rebuilt (compaction or
   /// split), surviving serialization round-trips. Local only.
@@ -318,14 +322,15 @@ class ShardedCloudServer {
   std::size_t num_shards() const;
   /// Replicas per shard (uniform; 1 for an unreplicated package).
   std::size_t replication_factor() const;
-  /// True when the shards live behind remote transports — no local replicas,
-  /// no manifest, no maintenance.
+  /// True when the shards live behind remote transports — no local shard
+  /// data, no manifest, no maintenance.
   bool remote() const { return remote_; }
-  /// The primary replica of shard s (the PR-2 accessor). Local servers only.
-  /// The reference is into the *current* ShardSet: valid until the next
-  /// structural maintenance op replaces it (exactly like iterators under
-  /// mutation) — don't hold it across CompactShard/SplitShard/MaybeCompact.
+  /// Shard s's CloudServer. Local servers only. The reference is into the
+  /// *current* ShardSet: valid until the next structural maintenance op
+  /// replaces it (exactly like iterators under mutation) — don't hold it
+  /// across CompactShard/SplitShard/MaybeCompact.
   const CloudServer& shard(std::size_t s) const;
+  /// What replica slot r of shard s scans: shard(s), for every r.
   const CloudServer& replica(std::size_t s, std::size_t r) const;
   /// Same currency caveat as shard().
   const ShardManifest& manifest() const;
@@ -392,7 +397,7 @@ class ShardedCloudServer {
 
   // Implementation-detail types, forward-declared here so the .cc's
   // file-local helpers can name them; the definitions never leave the .cc.
-  /// The immutable-on-swap serving state: replica groups, manifest,
+  /// The immutable-on-swap serving state: shard groups, manifest,
   /// transports. Searches pin it through the EpochPtr; maintenance swaps a
   /// new one in.
   struct ShardSet;
@@ -403,9 +408,10 @@ class ShardedCloudServer {
   struct Maintenance;
 
  private:
-  /// The local constructors' shared body: wires `groups[s][r]` as replica r
-  /// of shard s behind `manifest` and publishes the first ShardSet.
-  void Adopt(std::vector<std::vector<CloudServer>> groups,
+  /// The local constructors' shared body: wires `shards[s]` as shard s,
+  /// served through num_replicas slots, behind `manifest` and publishes the
+  /// first ShardSet.
+  void Adopt(std::vector<CloudServer> shards, std::size_t num_replicas,
              ShardManifest manifest, std::uint64_t state_version,
              const std::vector<std::uint64_t>& compaction_epochs);
 
@@ -503,8 +509,8 @@ class ShardedCloudServer {
   /// One query's gather: folds its work items' stats and counters into
   /// `ctx` and `result`, merges the answered shards' candidates to the
   /// global SAP-top-k', resolves each candidate's DCE ciphertext once — from
-  /// the shard primary when local, from the shipped answer when remote —
-  /// and refines through RefineCandidates.
+  /// its shard when local, from the shipped answer when remote — and
+  /// refines through RefineCandidates.
   void MergeAndRefine(const ShardSet& set, const QueryToken& token,
                       std::size_t k, const SearchSettings& settings,
                       std::size_t k_prime, std::span<const ItemOutcome> items,

@@ -1,6 +1,7 @@
 #include "core/sharded_database.h"
 
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "common/wal.h"
@@ -102,50 +103,49 @@ void ShardedEncryptedDatabase::WriteEnvelopeHeader(
   out->Put<std::uint32_t>(num_replicas);
 }
 
-std::size_t ShardedEncryptedDatabase::WriteEnvelopeHeaderV3(
-    BinaryWriter* out, std::uint32_t num_shards, std::uint32_t num_replicas,
+void ShardedEncryptedDatabase::WriteEnvelope(
+    BinaryWriter* out, std::size_t num_shards, std::size_t num_replicas,
     std::uint64_t state_version,
-    const std::vector<std::uint64_t>& compaction_epochs) {
-  out->Put<std::uint32_t>(kShardedMagic);
-  const std::size_t crc_begin = out->buffer().size();
-  out->Put<std::uint32_t>(kShardedVersionV3);
-  out->Put<std::uint32_t>(num_shards);
-  out->Put<std::uint32_t>(num_replicas);
-  out->Put<std::uint64_t>(state_version);
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    out->Put<std::uint64_t>(s < compaction_epochs.size() ? compaction_epochs[s]
-                                                         : 0);
+    const std::vector<std::uint64_t>& compaction_epochs,
+    const std::function<void(std::size_t, BinaryWriter*)>& write_shard,
+    const ShardManifest& manifest) {
+  const auto shard_count = static_cast<std::uint32_t>(num_shards);
+  const auto replica_count = static_cast<std::uint32_t>(num_replicas);
+  std::size_t crc_begin = 0;
+  if (state_version > 0) {
+    // v3 prefix: magic, version, counts, state version, per-shard epochs.
+    // The footer CRC covers everything after the magic.
+    out->Put<std::uint32_t>(kShardedMagic);
+    crc_begin = out->buffer().size();
+    out->Put<std::uint32_t>(kShardedVersionV3);
+    out->Put<std::uint32_t>(shard_count);
+    out->Put<std::uint32_t>(replica_count);
+    out->Put<std::uint64_t>(state_version);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      out->Put<std::uint64_t>(
+          s < compaction_epochs.size() ? compaction_epochs[s] : 0);
+    }
+  } else {
+    WriteEnvelopeHeader(out, shard_count, replica_count);
   }
-  return crc_begin;
-}
-
-void ShardedEncryptedDatabase::FinishEnvelopeV3(BinaryWriter* out,
-                                                std::size_t crc_begin) {
-  const std::uint32_t crc = Crc32(out->buffer().data() + crc_begin,
-                                  out->buffer().size() - crc_begin);
-  out->Put<std::uint32_t>(crc);
-  out->Put<std::uint32_t>(kShardedMagic);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    for (std::size_t r = 0; r < num_replicas; ++r) write_shard(s, out);
+  }
+  manifest.Serialize(out);
+  if (state_version > 0) {
+    // Torn-write footer: CRC-32 over [crc_begin, end), then the magic again.
+    const std::uint32_t crc = Crc32(out->buffer().data() + crc_begin,
+                                    out->buffer().size() - crc_begin);
+    out->Put<std::uint32_t>(crc);
+    out->Put<std::uint32_t>(kShardedMagic);
+  }
 }
 
 void ShardedEncryptedDatabase::Serialize(BinaryWriter* out) const {
-  if (state_version > 0) {
-    const std::size_t crc_begin = WriteEnvelopeHeaderV3(
-        out, static_cast<std::uint32_t>(shards.size()),
-        static_cast<std::uint32_t>(replication_factor()), state_version,
-        compaction_epochs);
-    for (const std::vector<EncryptedDatabase>& group : shards) {
-      for (const EncryptedDatabase& replica : group) replica.Serialize(out);
-    }
-    manifest.Serialize(out);
-    FinishEnvelopeV3(out, crc_begin);
-    return;
-  }
-  WriteEnvelopeHeader(out, static_cast<std::uint32_t>(shards.size()),
-                      static_cast<std::uint32_t>(replication_factor()));
-  for (const std::vector<EncryptedDatabase>& group : shards) {
-    for (const EncryptedDatabase& replica : group) replica.Serialize(out);
-  }
-  manifest.Serialize(out);
+  WriteEnvelope(
+      out, shards.size(), num_replicas, state_version, compaction_epochs,
+      [this](std::size_t s, BinaryWriter* w) { shards[s].Serialize(w); },
+      manifest);
 }
 
 Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
@@ -161,8 +161,7 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
     if (!single.ok()) return single.status();
     ShardedEncryptedDatabase db;
     db.manifest = ShardManifest::Identity(single->index->capacity());
-    db.shards.resize(1);
-    db.shards[0].push_back(std::move(*single));
+    db.shards.push_back(std::move(*single));
     return db;
   }
   PPANNS_RETURN_IF_ERROR(in->Get(&magic));
@@ -201,21 +200,22 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
       PPANNS_RETURN_IF_ERROR(in->Get(&db.compaction_epochs[s]));
     }
   }
-  db.shards.resize(num_shards);
+  db.num_replicas = num_replicas;
+  db.shards.reserve(num_shards);
   std::vector<std::size_t> capacities;
   capacities.reserve(num_shards);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    db.shards[s].reserve(num_replicas);
-    std::size_t primary_begin = 0, primary_size = 0;
     for (std::uint32_t r = 0; r < num_replicas; ++r) {
-      const std::size_t begin = in->position();
       Result<EncryptedDatabase> replica = EncryptedDatabase::Deserialize(in);
       if (!replica.ok()) return replica.status();
-      const std::size_t size = in->position() - begin;
+      if (r == 0) {
+        capacities.push_back(replica->index->capacity());
+        db.shards.push_back(std::move(*replica));
+        continue;
+      }
       // Replicas of one shard must agree on the local id space, or the
-      // manifest (validated against replica 0) would mislocate vectors on
-      // failover.
-      if (r > 0 && replica->index->capacity() != capacities[s]) {
+      // manifest (validated against replica 0) would mislocate vectors.
+      if (replica->index->capacity() != capacities[s]) {
         return Status::IOError(
             "ShardedEncryptedDatabase: shard " + std::to_string(s) +
             " replica " + std::to_string(r) + " capacity " +
@@ -223,22 +223,9 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
             " disagrees with replica 0 capacity " +
             std::to_string(capacities[s]));
       }
-      if (r == 0) {
-        capacities.push_back(replica->index->capacity());
-        primary_begin = begin;
-        primary_size = size;
-      } else if (size != primary_size ||
-                 std::memcmp(in->bytes() + begin, in->bytes() + primary_begin,
-                             size) != 0) {
-        // A shard applies each delete as an edit planned on replica 0, which
-        // is only valid on a byte-identical copy. Replicas that drifted apart
-        // (written by a version that repaired every replica on its own, or
-        // damaged) are re-stamped from replica 0's bytes.
-        BinaryReader primary(in->bytes() + primary_begin, primary_size);
-        replica = EncryptedDatabase::Deserialize(&primary);
-        PPANNS_CHECK(replica.ok());  // these bytes already parsed once
-      }
-      db.shards[s].push_back(std::move(*replica));
+      // Every replica of a shard serves replica 0's bytes, so this payload
+      // is dropped — also one that drifted from replica 0 (written by a
+      // version that repaired every replica on its own, or damaged).
     }
   }
 

@@ -1,21 +1,25 @@
-// The sharded outsourced package: S replica groups of per-shard
-// EncryptedDatabases plus the manifest that locates every global VectorId as
-// a (shard, local id) pair.
+// The sharded outsourced package: S per-shard EncryptedDatabases, the
+// replica count they are deployed at, and the manifest that locates every
+// global VectorId as a (shard, local id) pair.
 //
 // Sharding is the scaling seam of the serving stack (ROADMAP north-star):
 // the data owner partitions the corpus at encryption time, per-shard filter
 // indexes build independently (and therefore in parallel), and the
 // ShardedCloudServer answers queries scatter-gather. Replication is the
-// availability seam on top: every shard may carry R byte-identical replicas,
-// so the serving tier can fail over on replica loss and hedge slow replicas
-// without changing a single result id. The wire format is a versioned
-// envelope that wraps the existing single-shard format unchanged, so every
-// replica payload is itself a loadable EncryptedDatabase.
+// availability seam on top: every shard may be deployed at R replicas, so
+// the serving tier can fail over on replica loss and hedge slow replicas
+// without changing a single result id. Replicas are identical, so the
+// package holds each shard once; the wire format is a versioned envelope
+// that wraps the existing single-shard format unchanged and writes each
+// shard's payload R times, so every replica payload is itself a loadable
+// EncryptedDatabase.
 
 #ifndef PPANNS_CORE_SHARDED_DATABASE_H_
 #define PPANNS_CORE_SHARDED_DATABASE_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/serialize.h"
@@ -94,11 +98,12 @@ struct ShardManifest {
 
 /// The complete sharded (and possibly replicated) outsourced package.
 struct ShardedEncryptedDatabase {
-  /// shards[s][r] is replica r of shard s. Replica 0 is the primary; an
-  /// owner-built package stores R byte-identical replicas per shard (the
-  /// whole point — any replica can answer for the shard with identical
-  /// results). Every shard carries the same replica count.
-  std::vector<std::vector<EncryptedDatabase>> shards;
+  /// shards[s] is shard s. Its R replicas are identical (the whole point —
+  /// any replica answers for the shard with identical results), so the
+  /// package holds one copy and the envelope writes it R times.
+  std::vector<EncryptedDatabase> shards;
+  /// Replicas per shard (uniform across shards; 1 when unreplicated).
+  std::size_t num_replicas = 1;
   ShardManifest manifest;
 
   /// Monotonic count of structural maintenance operations (compactions and
@@ -112,14 +117,11 @@ struct ShardedEncryptedDatabase {
 
   std::size_t num_shards() const { return shards.size(); }
 
-  /// Replicas per shard (uniform across shards; 1 for a PR-2 style package).
-  std::size_t replication_factor() const {
-    return shards.empty() ? 1 : shards.front().size();
-  }
+  std::size_t replication_factor() const { return num_replicas; }
 
   /// Envelope: magic "PPSH", version, shard count, [v2: replica count], the
-  /// per-(shard, replica) EncryptedDatabase payloads (each self-describing,
-  /// replicas of one shard adjacent), then the manifest. A replication
+  /// per-(shard, replica) EncryptedDatabase payloads (each self-describing;
+  /// shard s's payload R times in a row), then the manifest. A replication
   /// factor of 1 writes the version-1 envelope byte-for-byte, so unreplicated
   /// packages stay readable by older loaders. A compacted package
   /// (state_version > 0) writes the v3 envelope instead: replica count
@@ -128,34 +130,33 @@ struct ShardedEncryptedDatabase {
   /// time (see docs/file-formats.md).
   void Serialize(BinaryWriter* out) const;
 
-  /// Writes the envelope prefix (magic, version, shard count and — when
-  /// num_replicas > 1 — the replica count) — shared with
-  /// ShardedCloudServer::SerializeDatabase, which streams live shards
-  /// instead of owning a ShardedEncryptedDatabase value.
+  /// Writes the v1/v2 envelope prefix (magic, version, shard count and —
+  /// when num_replicas > 1 — the replica count).
   static void WriteEnvelopeHeader(BinaryWriter* out, std::uint32_t num_shards,
                                   std::uint32_t num_replicas);
 
-  /// Writes the v3 envelope prefix (magic, version 3, counts, state
-  /// version, per-shard compaction epochs). Returns the offset the trailing
-  /// CRC covers from (the first byte after the magic); pass it to
-  /// FinishEnvelopeV3 after the payloads and manifest have been written.
-  static std::size_t WriteEnvelopeHeaderV3(
-      BinaryWriter* out, std::uint32_t num_shards, std::uint32_t num_replicas,
+  /// Writes a whole envelope around `num_shards` shard payloads: the prefix
+  /// the state version selects (v1/v2 at 0, v3 above), shard s's payload —
+  /// write_shard(s, out) — num_replicas times in a row per shard, the
+  /// manifest and, for v3, the CRC-32 + magic footer that rejects torn
+  /// writes at load time. Serialize and ShardedCloudServer::SerializeDatabase
+  /// (which streams live shards) both write through it.
+  static void WriteEnvelope(
+      BinaryWriter* out, std::size_t num_shards, std::size_t num_replicas,
       std::uint64_t state_version,
-      const std::vector<std::uint64_t>& compaction_epochs);
+      const std::vector<std::uint64_t>& compaction_epochs,
+      const std::function<void(std::size_t, BinaryWriter*)>& write_shard,
+      const ShardManifest& manifest);
 
-  /// Appends the v3 footer: CRC-32 over [crc_begin, current end) plus a
-  /// trailing magic. A load that fails either check is a torn write and is
-  /// rejected, never half-applied.
-  static void FinishEnvelopeV3(BinaryWriter* out, std::size_t crc_begin);
-
-  /// Reads any envelope version, loading each replica through the existing
-  /// EncryptedDatabase path, and rejects inconsistent packages: manifests
-  /// with overlapping ids, out-of-range shards or coverage mismatches, and
-  /// replica groups whose members disagree on capacity. A bare single-index
-  /// ("PPDB") package loads as the 1x1, state-version-0 package it
-  /// describes, with the identity manifest — so every load path reads both
-  /// formats through this one call.
+  /// Reads any envelope version, loading each shard's replica 0 through the
+  /// existing EncryptedDatabase path, and rejects inconsistent packages:
+  /// manifests with overlapping ids, out-of-range shards or coverage
+  /// mismatches, and replica payloads that disagree with replica 0 on
+  /// capacity. Every other replica payload is checked and dropped, so one
+  /// that drifted from replica 0's bytes is served as replica 0. A bare
+  /// single-index ("PPDB") package loads as the 1x1, state-version-0 package
+  /// it describes, with the identity manifest — so every load path reads
+  /// both formats through this one call.
   static Result<ShardedEncryptedDatabase> Deserialize(BinaryReader* in);
 };
 

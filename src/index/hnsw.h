@@ -67,8 +67,7 @@ struct HnswStats {
 /// id, every adjacency list the repair changes, sorted by (node, level), and
 /// the entry state afterwards. A list the plan leaves as it is carries no
 /// write. Applying it does no distance work, and the same edit applied to
-/// byte-identical indexes leaves them byte-identical — which is how a
-/// replicated shard plans each delete once and applies it to every replica.
+/// byte-identical indexes leaves them byte-identical.
 /// The flat backends' edit is just the tombstone: only `id` is set.
 struct RemoveEdit {
   struct ListWrite {

@@ -23,6 +23,7 @@
 #include "core/ppanns_service.h"
 #include "core/query_client.h"
 #include "datagen/synthetic.h"
+#include "net/auth.h"
 
 namespace ppanns {
 namespace {
@@ -67,20 +68,35 @@ std::vector<QueryToken> MakeTokens(const DataOwner& owner, const Dataset& ds,
 // Replica emission + envelope
 
 TEST(ReplicatedBuildTest, OwnerEmitsByteIdenticalReplicas) {
+  // The package holds each shard once; its v2 envelope must still carry R
+  // identical payloads per shard, each equal to the shard's own bytes.
   const Dataset ds = MakeData(120, 0, /*seed=*/3);
   DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 3, 3, 3));
   ShardedEncryptedDatabase db = owner.EncryptAndIndexSharded(ds.base);
   ASSERT_EQ(db.num_shards(), 3u);
   ASSERT_EQ(db.replication_factor(), 3u);
 
-  for (std::size_t s = 0; s < db.num_shards(); ++s) {
-    BinaryWriter primary;
-    db.shards[s][0].Serialize(&primary);
-    for (std::size_t r = 1; r < db.shards[s].size(); ++r) {
-      BinaryWriter replica;
-      db.shards[s][r].Serialize(&replica);
-      EXPECT_EQ(replica.buffer(), primary.buffer())
-          << "shard " << s << " replica " << r << " diverged from primary";
+  BinaryWriter w;
+  db.Serialize(&w);
+  BinaryReader in(w.buffer());
+  std::uint32_t magic = 0, version = 0, shards = 0, replicas = 0;
+  ASSERT_TRUE(in.Get(&magic).ok());
+  ASSERT_TRUE(in.Get(&version).ok());
+  ASSERT_TRUE(in.Get(&shards).ok());
+  ASSERT_TRUE(in.Get(&replicas).ok());
+  EXPECT_EQ(version, 2u);
+  ASSERT_EQ(shards, 3u);
+  ASSERT_EQ(replicas, 3u);
+  for (std::size_t s = 0; s < shards; ++s) {
+    BinaryWriter shard;
+    db.shards[s].Serialize(&shard);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      const std::size_t begin = in.position();
+      ASSERT_TRUE(EncryptedDatabase::Deserialize(&in).ok());
+      const std::vector<std::uint8_t> payload(
+          w.buffer().begin() + begin, w.buffer().begin() + in.position());
+      EXPECT_EQ(payload, shard.buffer())
+          << "shard " << s << " replica " << r << " payload differs";
     }
   }
 }
@@ -175,14 +191,14 @@ TEST(ReplicatedBuildTest, DivergentReplicaIsRestampedFromReplicaZero) {
       MakeOwner(params).EncryptAndIndexSharded(ds.base);
 
   BinaryWriter image0, image1;
-  primary.shards[0][0].Serialize(&image0);
-  drifted.shards[0][0].Serialize(&image1);
+  primary.shards[0].Serialize(&image0);
+  drifted.shards[0].Serialize(&image1);
   ASSERT_NE(image0.buffer(), image1.buffer());
   BinaryWriter w;
   ShardedEncryptedDatabase::WriteEnvelopeHeader(&w, /*num_shards=*/1,
                                                 /*num_replicas=*/2);
-  primary.shards[0][0].Serialize(&w);
-  drifted.shards[0][0].Serialize(&w);
+  primary.shards[0].Serialize(&w);
+  drifted.shards[0].Serialize(&w);
   primary.manifest.Serialize(&w);
 
   BinaryReader r(w.buffer());
@@ -201,6 +217,110 @@ TEST(ReplicatedBuildTest, DivergentReplicaIsRestampedFromReplicaZero) {
   }
   EXPECT_EQ(replica_bytes(1), replica_bytes(0))
       << "replicas diverged after deletes";
+}
+
+// In process, the R replicas of a shard are R dispatch slots over one
+// CloudServer: every slot serves the shard's one copy through writes,
+// compaction and splits, while down flags and request counters stay per
+// slot. Checked on an owner-built package and on one reloaded from bytes.
+TEST(ReplicatedBuildTest, InProcessReplicasShareOneShard) {
+  const Dataset ds = MakeData(180, 4, /*seed=*/71);
+  DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 3, 3, 71));
+  ShardedEncryptedDatabase built = owner.EncryptAndIndexSharded(ds.base);
+  BinaryWriter v2;
+  built.Serialize(&v2);
+  BinaryReader in(v2.buffer());
+  auto reloaded = ShardedEncryptedDatabase::Deserialize(&in);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  const Dataset extra = MakeData(20, 0, /*seed=*/72);
+  std::vector<EncryptedVector> fresh;
+  for (std::size_t i = 0; i < extra.base.size(); ++i) {
+    fresh.push_back(owner.EncryptOne(extra.base.row(i)));
+  }
+  const std::vector<QueryToken> tokens = MakeTokens(owner, ds, 73);
+
+  ShardedCloudServer owner_built(std::move(built));
+  ShardedCloudServer loaded(std::move(*reloaded));
+  for (ShardedCloudServer* cluster : {&owner_built, &loaded}) {
+    auto expect_shared = [cluster](const char* when) {
+      for (std::size_t s = 0; s < cluster->num_shards(); ++s) {
+        for (std::size_t r = 0; r < cluster->replication_factor(); ++r) {
+          EXPECT_EQ(&cluster->replica(s, r), &cluster->shard(s))
+              << when << ": shard " << s << " replica " << r;
+        }
+      }
+    };
+    expect_shared("as built");
+    for (const EncryptedVector& v : fresh) {
+      ASSERT_TRUE(cluster->Insert(v).ok());
+    }
+    for (VectorId id = 0; id < 180; id += 9) {
+      ASSERT_TRUE(cluster->Delete(id).ok()) << id;
+    }
+    expect_shared("after 20 inserts and 20 deletes");
+    ASSERT_TRUE(cluster->CompactShard(0).ok());
+    expect_shared("after CompactShard(0)");
+    ASSERT_TRUE(cluster->SplitShard(1).ok());
+    ASSERT_EQ(cluster->num_shards(), 4u);
+    expect_shared("after SplitShard(1)");
+
+    cluster->SetReplicaDown(1, 1, true);
+    EXPECT_EQ(cluster->live_replicas(1), 2u);
+    EXPECT_EQ(cluster->live_replicas(0), 3u);
+    const std::size_t slot0 = cluster->replica_requests(1, 0);
+    const std::size_t slot1 = cluster->replica_requests(1, 1);
+    EXPECT_FALSE(cluster->Search(tokens[0], 5).partial);
+    EXPECT_GT(cluster->replica_requests(1, 0), slot0);
+    EXPECT_EQ(cluster->replica_requests(1, 1), slot1);
+  }
+}
+
+/// SHA-256 of `bytes` as lowercase hex.
+std::string Sha256Hex(const std::vector<std::uint8_t>& bytes) {
+  std::string hex;
+  for (std::uint8_t b : Sha256(bytes.data(), bytes.size())) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  return hex;
+}
+
+// The package bytes and the deployment byte count do not depend on how the
+// server holds its replicas. The digests and counts below were recorded when
+// every in-process replica was its own deserialized copy of the shard: an
+// owner build (v2), the same after 20 inserts and 20 deletes (v2), and after
+// one compaction (v3).
+TEST(ReplicatedBuildTest, PackageBytesMatchParentFormat) {
+  const Dataset ds = MakeData(200, 0, /*seed=*/61);
+  DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 2, 2, 61));
+  ShardedEncryptedDatabase db = owner.EncryptAndIndexSharded(ds.base);
+  BinaryWriter built;
+  db.Serialize(&built);
+  EXPECT_EQ(Sha256Hex(built.buffer()),
+            "72472e394ec89b9a674ad30971556701ab9b10feb1baef94a3589f5c6aa35f51");
+
+  ShardedCloudServer cluster(std::move(db));
+  EXPECT_EQ(cluster.StorageBytes(), 661864u);
+  const Dataset extra = MakeData(20, 0, /*seed=*/62);
+  for (std::size_t i = 0; i < extra.base.size(); ++i) {
+    ASSERT_TRUE(cluster.Insert(owner.EncryptOne(extra.base.row(i))).ok());
+  }
+  for (VectorId id = 0; id < 200; id += 10) {
+    ASSERT_TRUE(cluster.Delete(id).ok()) << id;
+  }
+  BinaryWriter mutated;
+  cluster.SerializeDatabase(&mutated);
+  EXPECT_EQ(Sha256Hex(mutated.buffer()),
+            "5fd4618ed564745db6651b0cabe14ac9f3174b8261a415b2bf59638d1afaeebf");
+  EXPECT_EQ(cluster.StorageBytes(), 666832u);
+
+  ASSERT_TRUE(cluster.CompactShard(0).ok());
+  BinaryWriter compacted;
+  cluster.SerializeDatabase(&compacted);
+  EXPECT_EQ(Sha256Hex(compacted.buffer()),
+            "c3d43a9c4ce314c1336eea77a0d505d0bdaac90c3179a57ad158ead0cb3930db");
+  EXPECT_EQ(cluster.StorageBytes(), 662000u);
 }
 
 TEST(ReplicatedBuildTest, ZeroReplicasIsRejected) {

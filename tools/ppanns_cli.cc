@@ -988,9 +988,9 @@ int CmdInfo(const Args& args) {
     return 1;
   }
   std::size_t live = 0, total = 0;
-  for (const auto& group : db->shards) {
-    live += group.front().index->size();
-    total += group.front().index->capacity();
+  for (const EncryptedDatabase& shard : db->shards) {
+    live += shard.index->size();
+    total += shard.index->capacity();
   }
   std::printf("encrypted database: %s\n", args.GetString("db").c_str());
   std::printf("  shards:         %zu\n", db->num_shards());
@@ -1003,18 +1003,18 @@ int CmdInfo(const Args& args) {
               static_cast<unsigned long long>(db->state_version));
   PrintWalInfo(args.GetString("wal-dir"));
   for (std::size_t s = 0; s < db->shards.size(); ++s) {
-    const EncryptedDatabase& primary = db->shards[s].front();
-    const std::size_t cap = primary.index->capacity();
+    const EncryptedDatabase& shard = db->shards[s];
+    const std::size_t cap = shard.index->capacity();
     const double ratio =
         cap == 0 ? 0.0
-                 : static_cast<double>(cap - primary.index->size()) /
+                 : static_cast<double>(cap - shard.index->size()) /
                        static_cast<double>(cap);
     const std::uint64_t epoch =
         s < db->compaction_epochs.size() ? db->compaction_epochs[s] : 0;
     std::printf("  shard %zu:\n", s);
     std::printf("    tombstones:     %.1f%% (last compaction epoch %llu)\n",
                 100.0 * ratio, static_cast<unsigned long long>(epoch));
-    PrintIndexInfo(*primary.index, primary.DceBytes() / 1e6, "    ");
+    PrintIndexInfo(*shard.index, shard.DceBytes() / 1e6, "    ");
   }
   return 0;
 }
