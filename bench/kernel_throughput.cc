@@ -13,6 +13,11 @@
 // int8 shortlist with exact float distances, so its recall stays at 1.0
 // while the scan runs on one byte per dimension.
 //
+// A second table times the double-precision MatVec behind the DCE trapdoor:
+// y = A x at 272 x 272 (M3^-1 at d = 128) and 1936 x 1936 (d = 960), once
+// as a per-row dot_f64 loop and once through the matvec_f64 kernel, on the
+// scalar and the SIMD tables. Both compute the same bits.
+//
 // Every point is also emitted as one JSON line into
 // BENCH_kernel_throughput.json (override with PPANNS_BENCH_JSON) so the
 // kernel trajectory is machine-readable across PRs.
@@ -191,6 +196,48 @@ int main() {
       }
     }
     std::printf("\n");
+  }
+  std::printf("%-6s %-10s %14s %14s %10s\n", "n", "config", "dot_f64(us)",
+              "matvec_f64(us)", "speedup");
+  for (const std::size_t n : {std::size_t{272}, std::size_t{1936}}) {
+    Rng rng(0x3A7 + n);
+    std::vector<double> a(n * n), x(n), y(n);
+    for (double& v : a) v = rng.Gaussian(0.0, 10.0);
+    for (double& v : x) v = rng.Gaussian(0.0, 10.0);
+    // PPANNS_BENCH_REPS passes of a few milliseconds each; the fastest pass
+    // per config is kept (see the scan table above).
+    const std::size_t reps = EnvSize("PPANNS_BENCH_REPS", 9);
+    const std::size_t products = n >= 1000 ? 4 : 200;
+    for (const KernelIsa isa : {KernelIsa::kScalar, ActiveKernelIsa()}) {
+      ScopedKernelIsa guard(isa);
+      double best_dot = 0.0, best_mv = 0.0;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        Timer dot_timer;
+        for (std::size_t p = 0; p < products; ++p) {
+          for (std::size_t i = 0; i < n; ++i) {
+            y[i] = Dot(a.data() + i * n, x.data(), n);
+          }
+        }
+        const double dot_s = dot_timer.ElapsedSeconds() / products;
+        Timer mv_timer;
+        for (std::size_t p = 0; p < products; ++p) {
+          MatVecF64(a.data(), n, n, x.data(), y.data());
+        }
+        const double mv_s = mv_timer.ElapsedSeconds() / products;
+        if (rep == 0 || dot_s < best_dot) best_dot = dot_s;
+        if (rep == 0 || mv_s < best_mv) best_mv = mv_s;
+      }
+      std::printf("%-6zu %-10s %14.2f %14.2f %9.2fx\n", n, ActiveKernelName(),
+                  best_dot * 1e6, best_mv * 1e6, best_dot / best_mv);
+      if (json != nullptr) {
+        std::fprintf(json,
+                     "{\"bench\":\"kernel_throughput\",\"op\":\"matvec_f64\","
+                     "\"n\":%zu,\"kernel\":\"%s\",\"dot_f64_us\":%.3f,"
+                     "\"matvec_f64_us\":%.3f,\"speedup_vs_row_dots\":%.3f}\n",
+                     n, ActiveKernelName(), best_dot * 1e6, best_mv * 1e6,
+                     best_dot / best_mv);
+      }
+    }
   }
   if (json != nullptr) std::fclose(json);
   return 0;

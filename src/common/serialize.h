@@ -103,6 +103,15 @@ class BinaryReader {
     return Status::OK();
   }
 
+  /// Advances past `n` bytes without reading them.
+  Status Skip(std::size_t n) {
+    if (n > size_ - pos_) {
+      return Status::OutOfRange("BinaryReader: truncated input");
+    }
+    pos_ += n;
+    return Status::OK();
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
 

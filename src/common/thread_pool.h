@@ -1,6 +1,7 @@
-// A small fixed-size thread pool used for parallel ground-truth computation
-// and batch encryption. Search benchmarks remain single-threaded to match the
-// paper's measurement methodology (Section VII, "single thread").
+// A small fixed-size thread pool. The serving scatter runs on it (one work
+// item per query and shard, hedged or barrier; see sharded_cloud_server.h),
+// and so do batch search, batch encryption, parallel index builds and
+// ground-truth computation.
 
 #ifndef PPANNS_COMMON_THREAD_POOL_H_
 #define PPANNS_COMMON_THREAD_POOL_H_

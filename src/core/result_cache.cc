@@ -1,5 +1,6 @@
 #include "core/result_cache.h"
 
+#include <array>
 #include <cstring>
 
 #include "core/cloud_server.h"
@@ -14,36 +15,79 @@ std::size_t RoundUpPow2(std::size_t x) {
   return p;
 }
 
-/// Streaming 128-bit mixer: lo is FNV-1a (byte-serial, well studied), hi is
-/// a splitmix-style multiply-xorshift over the same stream with a different
-/// seed. The two halves are computed from independent recurrences, so a
-/// collision in one is uncorrelated with the other — the full 128-bit key is
-/// compared on lookup, making accidental aliasing astronomically unlikely.
+inline std::uint64_t Rotl(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+/// splitmix64's finalizer: a bijection on 64 bits with full avalanche.
+inline std::uint64_t Avalanche(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// Word-wise 128-bit mixer. Input is read as 8-byte words spread round-robin
+/// over four 64-bit lanes, each updated by xxHash64's round
+/// (lane + w * P2, rotate, * P1), so four independent multiply chains run at
+/// once. Each round is a bijection of its lane for a fixed word and of the
+/// word for a fixed lane, and Finish folds the lanes into lo and hi through
+/// bijections in every lane, so a change confined to one word (any single
+/// bit flip of a token) always changes both halves. Words are loaded in host
+/// byte order: keys live only in this process's memory.
+///
+/// Not collision-resistant: whoever can choose token bytes can construct two
+/// tokens with one key. The cache assumes tokens are what honest clients
+/// produce, randomized ciphertexts.
 class Mix128 {
  public:
+  void U64(std::uint64_t v) { lanes_[0] = Round(lanes_[0], v); }
+
+  /// The caller length-prefixes every Bytes call, so zero-padding a trailing
+  /// partial word cannot alias two inputs.
   void Bytes(const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      lo_ = (lo_ ^ p[i]) * 0x100000001B3ull;           // FNV-1a 64 prime
-      hi_ = (hi_ ^ (p[i] + 0x9E3779B97F4A7C15ull));    // golden-ratio seed
-      hi_ *= 0xBF58476D1CE4E5B9ull;
-      hi_ ^= hi_ >> 27;
+    std::uint64_t l0 = lanes_[0], l1 = lanes_[1], l2 = lanes_[2],
+                  l3 = lanes_[3];
+    for (; len >= 32; p += 32, len -= 32) {
+      l0 = Round(l0, Load(p, 8));
+      l1 = Round(l1, Load(p + 8, 8));
+      l2 = Round(l2, Load(p + 16, 8));
+      l3 = Round(l3, Load(p + 24, 8));
+    }
+    lanes_ = {l0, l1, l2, l3};
+    for (std::size_t i = 0; len > 0; ++i) {
+      const std::size_t take = len < 8 ? len : 8;
+      lanes_[i] = Round(lanes_[i], Load(p, take));
+      p += take;
+      len -= take;
     }
   }
 
-  void U64(std::uint64_t v) { Bytes(&v, sizeof(v)); }
-
-  ResultCache::Key Finish() {
-    // Final avalanche so short inputs still spread across stripe bits.
-    hi_ ^= hi_ >> 31;
-    hi_ *= 0x94D049BB133111EBull;
-    hi_ ^= hi_ >> 31;
-    return ResultCache::Key{lo_, hi_};
+  ResultCache::Key Finish() const {
+    const std::uint64_t a = Avalanche(lanes_[0] + Rotl(lanes_[1], 23));
+    const std::uint64_t b = Avalanche(lanes_[2] + Rotl(lanes_[3], 23));
+    return ResultCache::Key{Avalanche(a ^ Rotl(b, 17)),
+                            Avalanche(b + Rotl(a, 41))};
   }
 
  private:
-  std::uint64_t lo_ = 0xCBF29CE484222325ull;  // FNV-1a 64 offset basis
-  std::uint64_t hi_ = 0x2545F4914F6CDD1Dull;
+  static constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+  static constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+
+  static std::uint64_t Round(std::uint64_t lane, std::uint64_t w) {
+    return Rotl(lane + w * kP2, 31) * kP1;
+  }
+
+  static std::uint64_t Load(const unsigned char* p, std::size_t n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    return w;
+  }
+
+  std::array<std::uint64_t, 4> lanes_ = {kP1 + kP2, kP2, 0x2545F4914F6CDD1Dull,
+                                         0 - kP1};
 };
 
 }  // namespace

@@ -205,10 +205,29 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
   std::vector<std::size_t> capacities;
   capacities.reserve(num_shards);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
+    const std::size_t first_pos = in->position();
+    std::size_t first_len = 0;
     for (std::uint32_t r = 0; r < num_replicas; ++r) {
+      // Every replica of a shard serves replica 0's bytes, so a payload
+      // byte-equal to replica 0's is skipped unparsed: parsing would read
+      // the same bytes to the same result. Only a differing payload is
+      // parsed, for its capacity check.
+      if (r > 0 && in->remaining() >= first_len &&
+          std::memcmp(in->bytes() + in->position(), in->bytes() + first_pos,
+                      first_len) == 0) {
+        PPANNS_RETURN_IF_ERROR(in->Skip(first_len));
+        continue;
+      }
       Result<EncryptedDatabase> replica = EncryptedDatabase::Deserialize(in);
-      if (!replica.ok()) return replica.status();
+      if (!replica.ok()) {
+        if (r == 0) return replica.status();
+        return Status::IOError("ShardedEncryptedDatabase: shard " +
+                               std::to_string(s) + " replica " +
+                               std::to_string(r) + ": " +
+                               replica.status().ToString());
+      }
       if (r == 0) {
+        first_len = in->position() - first_pos;
         capacities.push_back(replica->index->capacity());
         db.shards.push_back(std::move(*replica));
         continue;
@@ -223,9 +242,8 @@ Result<ShardedEncryptedDatabase> ShardedEncryptedDatabase::Deserialize(
             " disagrees with replica 0 capacity " +
             std::to_string(capacities[s]));
       }
-      // Every replica of a shard serves replica 0's bytes, so this payload
-      // is dropped — also one that drifted from replica 0 (written by a
-      // version that repaired every replica on its own, or damaged).
+      // A payload that drifted from replica 0 (written by a version that
+      // repaired every replica on its own, or damaged) is dropped too.
     }
   }
 

@@ -64,6 +64,13 @@ struct KernelOps {
                        std::size_t d, float* out);
   void (*l2_batch_i8)(const std::int8_t* q, const std::int8_t* const* rows,
                       std::size_t n, std::size_t d, std::int32_t* out);
+
+  /// Many-to-one over a row-major rows x cols matrix: y[i] = dot_f64(row i,
+  /// x). Every row keeps dot_f64's accumulation order, so y[i] is
+  /// bit-identical to the per-row dot; the AVX2 table walks four rows per
+  /// pass so that they share each load of x.
+  void (*matvec_f64)(const double* a, std::size_t rows, std::size_t cols,
+                     const double* x, double* y);
 };
 
 namespace kernel_detail {
@@ -146,6 +153,14 @@ inline double SquaredL2(const double* a, const double* b, std::size_t n) {
 /// Inner product of two length-n double vectors.
 inline double Dot(const double* a, const double* b, std::size_t n) {
   return kernel_detail::Active()->dot_f64(a, b, n);
+}
+
+/// y = A x for a row-major rows x cols double matrix `a`: y[i] is
+/// bit-identical to Dot(a + i * cols, x, cols). The DCE trapdoor (M3^-1 and
+/// the per-half inverses) and the ASPE/AME transforms run on it.
+inline void MatVecF64(const double* a, std::size_t rows, std::size_t cols,
+                      const double* x, double* y) {
+  kernel_detail::Active()->matvec_f64(a, rows, cols, x, y);
 }
 
 /// Squared L2 distance between two int8 code vectors, exact in int32.

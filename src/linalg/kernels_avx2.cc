@@ -286,10 +286,49 @@ void Avx2L2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
   for (; i < n; ++i) out[i] = Avx2L2I8(q, rows[i], d);
 }
 
+// Four rows per pass against the shared x: each 4-double chunk of x is
+// loaded once for all four rows, and the four accumulator chains interleave,
+// hiding the vaddpd latency that stalls a single chain. Each row keeps one
+// accumulator in Avx2DotF64's lane order, the same reduction and the same
+// sequential tail, so y[i] is bit-identical to the per-row dot.
+void Avx2MatVecF64(const double* a, std::size_t rows, std::size_t cols,
+                   const double* x, double* y) {
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const double* r0 = a + i * cols;
+    const double* r1 = r0 + cols;
+    const double* r2 = r1 + cols;
+    const double* r3 = r2 + cols;
+    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
+    std::size_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+      const __m256d vx = _mm256_loadu_pd(x + j);
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(r0 + j), vx));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(r1 + j), vx));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_loadu_pd(r2 + j), vx));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_loadu_pd(r3 + j), vx));
+    }
+    double s0 = HSum256d(acc0), s1 = HSum256d(acc1);
+    double s2 = HSum256d(acc2), s3 = HSum256d(acc3);
+    for (; j < cols; ++j) {
+      s0 = s0 + r0[j] * x[j];
+      s1 = s1 + r1[j] * x[j];
+      s2 = s2 + r2[j] * x[j];
+      s3 = s3 + r3[j] * x[j];
+    }
+    y[i] = s0;
+    y[i + 1] = s1;
+    y[i + 2] = s2;
+    y[i + 3] = s3;
+  }
+  for (; i < rows; ++i) y[i] = Avx2DotF64(a + i * cols, x, cols);
+}
+
 constexpr KernelOps kAvx2Ops = {
     "avx2",         Avx2L2F32,      Avx2IpF32,    Avx2L2F64,
     Avx2DotF64,     Avx2L2I8,       Avx2L2BatchF32,
-    Avx2IpBatchF32, Avx2L2BatchI8,
+    Avx2IpBatchF32, Avx2L2BatchI8,  Avx2MatVecF64,
 };
 
 bool CpuHasAvx2() {

@@ -146,10 +146,20 @@ void NeonL2BatchI8(const std::int8_t* q, const std::int8_t* const* rows,
   }
 }
 
+// A per-row loop over NeonDotF64: bit-identical to the per-row dot by
+// construction. A four-row interleave like the AVX2 table's is left for a
+// build that can run it on aarch64.
+void NeonMatVecF64(const double* a, std::size_t rows, std::size_t cols,
+                   const double* x, double* y) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    y[i] = NeonDotF64(a + i * cols, x, cols);
+  }
+}
+
 constexpr KernelOps kNeonOps = {
     "neon",         NeonL2F32,      NeonIpF32,    NeonL2F64,
     NeonDotF64,     NeonL2I8,       NeonL2BatchF32,
-    NeonIpBatchF32, NeonL2BatchI8,
+    NeonIpBatchF32, NeonL2BatchI8,  NeonMatVecF64,
 };
 
 }  // namespace

@@ -102,9 +102,7 @@ double Matrix::FrobeniusNorm() const {
 }
 
 void MatVec(const Matrix& a, const double* x, double* y) {
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    y[i] = Dot(a.row(i), x, a.cols());
-  }
+  MatVecF64(a.data().data(), a.rows(), a.cols(), x, y);
 }
 
 // VecMat's row update is the inner loop of DCE data encryption, the bulk of

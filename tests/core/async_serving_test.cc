@@ -177,6 +177,60 @@ TEST(ReplicatedBuildTest, RejectsReplicaCapacityMismatch) {
   EXPECT_EQ(loaded.status().code(), Status::Code::kIOError);
 }
 
+// A load skips the payloads that are byte-equal to their shard's replica 0
+// without parsing them. At R = 3 the skipped copies must change nothing: the
+// package loads with its replica count, serves the owner build's ids, and
+// writes back the same bytes.
+TEST(ReplicatedBuildTest, IdenticalReplicaPayloadsLoadAndServeTheSameIds) {
+  const Dataset ds = MakeData(150, 8, /*seed=*/61);
+  DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 2, 3, 61));
+  ShardedEncryptedDatabase db = owner.EncryptAndIndexSharded(ds.base);
+  BinaryWriter w;
+  db.Serialize(&w);
+  BinaryReader r(w.buffer());
+  auto loaded = ShardedEncryptedDatabase::Deserialize(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(loaded->replication_factor(), 3u);
+
+  PpannsService built{ShardedCloudServer(std::move(db))};
+  PpannsService reloaded{ShardedCloudServer(std::move(*loaded))};
+  for (const QueryToken& token : MakeTokens(owner, ds, 62)) {
+    auto a = built.Search(token, 5);
+    auto b = reloaded.Search(token, 5);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(b->ids, a->ids);
+  }
+  BinaryWriter w2;
+  reloaded.SerializeDatabase(&w2);
+  EXPECT_EQ(w2.buffer(), w.buffer());
+}
+
+// A replica payload that is not byte-equal to replica 0's is parsed, so a
+// truncated one fails the load with IOError instead of being skipped.
+TEST(ReplicatedBuildTest, TruncatedReplicaPayloadIsIOError) {
+  const Dataset ds = MakeData(40, 0, /*seed=*/63);
+  DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 1, 1, 63));
+  ShardedEncryptedDatabase db = owner.EncryptAndIndexSharded(ds.base);
+  BinaryWriter payload;
+  db.shards[0].Serialize(&payload);
+  std::vector<std::uint8_t> truncated = payload.buffer();
+  truncated.resize(truncated.size() / 2);
+
+  BinaryWriter w;
+  ShardedEncryptedDatabase::WriteEnvelopeHeader(&w, /*num_shards=*/1,
+                                                /*num_replicas=*/2);
+  db.shards[0].Serialize(&w);
+  w.PutBytes(truncated.data(), truncated.size());
+  db.manifest.Serialize(&w);
+
+  BinaryReader r(w.buffer());
+  auto loaded = ShardedEncryptedDatabase::Deserialize(&r);
+  EXPECT_EQ(loaded.status().code(), Status::Code::kIOError)
+      << loaded.status().ToString();
+}
+
 // A shard applies each delete as an edit planned on replica 0, which needs
 // byte-identical replicas. A package whose second replica drifted (here an
 // HNSW graph built with another level seed, so node levels differ) loads

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +101,71 @@ TEST(ResultCacheKeyTest, IdenticalInputsCollideDifferingInputsSeparate) {
     s.deadline_ms = 123.0;
     s.admission_ms = 5.0;
     EXPECT_TRUE(base == ResultCache::MakeKey(token, 10, s));
+  }
+}
+
+// The key reads token bytes in 8-byte words over four lanes. A flip of any
+// single bit of the SAP floats or the trapdoor doubles changes one word, and
+// that must change both halves: lo picks the bucket, hi the stripe. The
+// second shape has a 68-byte SAP, so its last word is a zero-padded half.
+TEST(ResultCacheKeyTest, EverySingleBitFlipChangesBothHalves) {
+  const SearchSettings settings{.k_prime = 40, .ef_search = 80};
+  Rng rng(5);
+  for (const auto& [sap_len, trapdoor_len] :
+       {std::pair<std::size_t, std::size_t>{kDim, 2 * kDim + 16},
+        std::pair<std::size_t, std::size_t>{17, 50}}) {
+    QueryToken token;
+    token.sap.resize(sap_len);
+    for (float& x : token.sap) x = static_cast<float>(rng.Gaussian());
+    token.trapdoor.data.resize(trapdoor_len);
+    for (double& x : token.trapdoor.data) x = rng.Gaussian();
+    const ResultCache::Key base = ResultCache::MakeKey(token, 10, settings);
+
+    auto expect_both_change = [&](unsigned char* bytes, std::size_t len,
+                                  const char* field) {
+      for (std::size_t i = 0; i < len; ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+          bytes[i] ^= static_cast<unsigned char>(1u << bit);
+          const ResultCache::Key k = ResultCache::MakeKey(token, 10, settings);
+          bytes[i] ^= static_cast<unsigned char>(1u << bit);
+          ASSERT_NE(k.lo, base.lo) << field << " byte " << i << " bit " << bit;
+          ASSERT_NE(k.hi, base.hi) << field << " byte " << i << " bit " << bit;
+        }
+      }
+    };
+    expect_both_change(reinterpret_cast<unsigned char*>(token.sap.data()),
+                       sap_len * sizeof(float), "sap");
+    expect_both_change(
+        reinterpret_cast<unsigned char*>(token.trapdoor.data.data()),
+        trapdoor_len * sizeof(double), "trapdoor");
+    EXPECT_TRUE(base == ResultCache::MakeKey(token, 10, settings));
+  }
+}
+
+// 2^17 random tokens: no two share a 128-bit key, and hi spreads them over
+// the default 16 stripes with no stripe above twice its fair share.
+TEST(ResultCacheKeyTest, RandomTokensNeitherCollideNorCrowdAStripe) {
+  constexpr std::size_t kTokens = std::size_t{1} << 17;
+  constexpr std::size_t kStripes = 16;
+  const SearchSettings settings{.k_prime = 40, .ef_search = 80};
+  Rng rng(17);
+  QueryToken token;
+  token.sap.resize(kDim);
+  token.trapdoor.data.resize(2 * kDim + 16);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
+  keys.reserve(kTokens);
+  std::vector<std::size_t> per_stripe(kStripes, 0);
+  for (std::size_t i = 0; i < kTokens; ++i) {
+    for (float& x : token.sap) x = static_cast<float>(rng.Gaussian());
+    for (double& x : token.trapdoor.data) x = rng.Gaussian();
+    const ResultCache::Key k = ResultCache::MakeKey(token, 10, settings);
+    keys.emplace_back(k.lo, k.hi);
+    ++per_stripe[k.hi & (kStripes - 1)];
+  }
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+  for (std::size_t s = 0; s < kStripes; ++s) {
+    EXPECT_LE(per_stripe[s], 2 * kTokens / kStripes) << "stripe " << s;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "index/brute_force.h"
+#include "net/auth.h"
 
 namespace ppanns {
 namespace {
@@ -304,6 +306,48 @@ TEST(SchemeTest, MeasureServerReportsConsistentPoint) {
   EXPECT_GT(point.mean_latency_ms, 0.0);
   EXPECT_GE(point.p99_latency_ms, point.mean_latency_ms * 0.5);
   EXPECT_GT(point.mean_dce_comparisons, 0.0);
+}
+
+// The query token is the only thing a user computes per query, and the
+// server and the result cache act on its bytes. Its SHA-256 over 64
+// serialized tokens is pinned for fixed key and query seeds,
+// so no change to the trapdoor arithmetic (the MatVec kernel, the DCE
+// randomizers, the SAP noise) can move a bit unnoticed. d = 128 is the
+// SIFT-like shape (272 x 272 M3^-1, 68 x 68 half-blocks); d = 25 pads to 26
+// and gives 17 x 17 half-blocks, so the kernels' 4-row and 4-lane tails run.
+// The digests were recorded before MatVec had a multi-row kernel; they must
+// hold on every kernel ISA.
+std::string TokenDigestHex(std::size_t dim, std::uint64_t seed) {
+  PpannsParams params;
+  params.dcpe_beta = 2.0;
+  params.seed = seed;
+  auto owner = DataOwner::Create(dim, params);
+  PPANNS_CHECK(owner.ok());
+  QueryClient client(owner->ShareKeys(), seed + 1);
+  Rng rng(seed + 2);
+  BinaryWriter w;
+  std::vector<float> q(dim);
+  for (int i = 0; i < 64; ++i) {
+    for (float& x : q) x = static_cast<float>(rng.Gaussian(0.0, 20.0));
+    client.EncryptQuery(q.data()).Serialize(&w);
+  }
+  const std::vector<std::uint8_t> bytes = w.TakeBuffer();
+  std::string hex;
+  for (std::uint8_t b : Sha256(bytes.data(), bytes.size())) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
+}
+
+TEST(SchemeTest, QueryTokenBytesMatchParentFormat) {
+  constexpr char kD128Sha256[] =
+      "b304c622ea34165a8188dfbc9de3fba5a8c04e8b4119c36575953afe93dd56a9";
+  constexpr char kD25Sha256[] =
+      "798afeea00bccbf145201b393aa3ec313c37265295a679a8113d76333c1edd3e";
+  EXPECT_EQ(TokenDigestHex(128, 7), kD128Sha256);
+  EXPECT_EQ(TokenDigestHex(25, 11), kD25Sha256);
 }
 
 }  // namespace

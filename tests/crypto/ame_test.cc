@@ -4,11 +4,13 @@
 #include "crypto/ame.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "net/auth.h"
 
 namespace ppanns {
 namespace {
@@ -119,6 +121,38 @@ TEST(AmeTest, SelfComparisonNearZero) {
   const AmeCiphertext c2 = scheme->Encrypt(p.data(), rng);
   const AmeTrapdoor tq = scheme->GenTrapdoor(q.data(), rng);
   EXPECT_NEAR(AmeScheme::DistanceComp(c1, c2, tq), 0.0, 1e-6);
+}
+
+// One AME ciphertext and trapdoor for fixed seeds, pinned by SHA-256: both
+// run MatVec (16 right-key inverses per ciphertext, 16 left keys per
+// trapdoor), so a kernel change that moved a bit would show here. At d = 24
+// the lifted dimension is 54, which leaves a 2-row and a 2-column tail. The
+// digest was recorded before MatVec had a multi-row kernel.
+TEST(AmeTest, CiphertextBytesMatchParentFormat) {
+  const std::size_t d = 24;
+  Rng rng(2024);
+  auto scheme = AmeScheme::KeyGen(d, rng, 1.0);
+  ASSERT_TRUE(scheme.ok());
+  const std::vector<double> p = RandomVector(d, rng);
+  const std::vector<double> q = RandomVector(d, rng);
+  const AmeCiphertext c = scheme->Encrypt(p.data(), rng);
+  const AmeTrapdoor t = scheme->GenTrapdoor(q.data(), rng);
+  std::vector<double> all(c.rows.data().begin(), c.rows.data().end());
+  all.insert(all.end(), c.cols.data().begin(), c.cols.data().end());
+  for (const Matrix& m : t.mats) {
+    all.insert(all.end(), m.data().begin(), m.data().end());
+  }
+  std::string hex;
+  for (std::uint8_t b :
+       Sha256(reinterpret_cast<const std::uint8_t*>(all.data()),
+              all.size() * sizeof(double))) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  constexpr char kSha256[] =
+      "de2256042a780742a60f1ae93be44aae4aa02b820d9a706eca1b9dc8d90a8261";
+  EXPECT_EQ(hex, kSha256);
 }
 
 }  // namespace

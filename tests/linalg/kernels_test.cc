@@ -228,6 +228,38 @@ TEST(KernelsTest, BatchMatchesSingle) {
   }
 }
 
+// ---- MatVec: every row bit-identical to its own dot product. ---------------
+
+// The DCE trapdoor and the ASPE/AME transforms are MatVec products; tokens
+// and ciphertexts keep their bytes only if each output equals the dot_f64 of
+// its row exactly. Shapes cover every 4-row and 4-lane tail (1..9) plus the
+// DCE half-block at d = 128 (68), its M3^-1 (272), and a ragged 17.
+TEST(KernelsTest, MatVecF64BitExactAgainstRowDots) {
+  std::vector<KernelIsa> isas = SupportedSimdIsas();
+  isas.push_back(KernelIsa::kScalar);
+  std::vector<std::size_t> dims;
+  for (std::size_t n = 1; n <= 9; ++n) dims.push_back(n);
+  for (std::size_t n : {17u, 68u, 272u}) dims.push_back(n);
+  Rng rng(0x3A7);
+  for (KernelIsa isa : isas) {
+    ScopedKernelIsa guard(isa);
+    for (std::size_t rows : dims) {
+      for (std::size_t cols : dims) {
+        std::vector<double> a(rows * cols), x(cols), y(rows);
+        for (double& v : a) v = rng.Gaussian(0.0, 10.0);
+        for (double& v : x) v = rng.Gaussian(0.0, 10.0);
+        MatVecF64(a.data(), rows, cols, x.data(), y.data());
+        for (std::size_t i = 0; i < rows; ++i) {
+          const double want = Dot(a.data() + i * cols, x.data(), cols);
+          ASSERT_EQ(std::memcmp(&y[i], &want, sizeof(double)), 0)
+              << ActiveKernelName() << " " << rows << "x" << cols << " row "
+              << i;
+        }
+      }
+    }
+  }
+}
+
 // ---- Dispatch controls. -----------------------------------------------------
 
 TEST(KernelsTest, ForceAndScopedDispatch) {
