@@ -51,6 +51,7 @@
 #include "core/ppanns_service.h"
 #include "core/sharded_cloud_server.h"
 #include "eval/metrics.h"
+#include "net/fault_injecting_transport.h"
 
 namespace {
 
@@ -164,8 +165,11 @@ int main() {
 
   auto owner = DataOwner::Create(dataset.base.dim(), params);
   PPANNS_CHECK(owner.ok());
-  PpannsService service{
-      ShardedCloudServer(owner->EncryptAndIndexSharded(dataset.base))};
+  // The straggler is injected through the slot transports: replica (0,0)'s
+  // fault cell, set below.
+  FaultPlan faults;
+  PpannsService service{ShardedCloudServer(
+      owner->EncryptAndIndexSharded(dataset.base), faults.Decorator())};
   QueryClient client(owner->ShareKeys(), 808 + 23);
   const std::vector<QueryToken> tokens = EncryptQueries(client, dataset.queries);
 
@@ -197,7 +201,7 @@ int main() {
   // Inject the straggler: one replica of shard 0 answers late. Mid-scan
   // cancellation (the default) against the pre-scan-only baseline: same
   // winner ids, same recall — the delta is the losers' wasted work.
-  cluster.SetReplicaDelayMs(0, 0, static_cast<int>(delay_ms));
+  faults.Cell(0, 0)->delay_ms = static_cast<int>(delay_ms);
   run("straggler-sync", false, async);
   const TailPoint midscan = run("straggler-async", true, async);
   AsyncOptions prescan = async;
@@ -208,7 +212,7 @@ int main() {
 
   // Replica loss instead of slowness: the scatter never touches the dead
   // replica, so this is the latency floor hedging converges to.
-  cluster.SetReplicaDelayMs(0, 0, 0);
+  faults.Cell(0, 0)->delay_ms = 0;
   cluster.SetReplicaDown(0, 0, true);
   run("failover", false, async);
   cluster.SetReplicaDown(0, 0, false);

@@ -48,6 +48,11 @@ Result<EncryptedDatabase> EncryptedDatabase::Deserialize(BinaryReader* in) {
 
   std::uint64_t n = 0;
   PPANNS_RETURN_IF_ERROR(in->Get(&n));
+  // Checked before the count sizes anything: a hostile count must come back
+  // as a Status, not as an allocation failure.
+  if (n != index->capacity()) {
+    return Status::IOError("EncryptedDatabase: index/ciphertext mismatch");
+  }
   std::vector<DceCiphertext> dce(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     DceCiphertext& c = dce[i];
@@ -60,18 +65,14 @@ Result<EncryptedDatabase> EncryptedDatabase::Deserialize(BinaryReader* in) {
     // refine phase reads 4*block doubles from every live candidate. Live
     // ciphertexts must have the full four blocks.
     if (c.data.empty()) {
-      if (i >= index->capacity() || !index->IsDeleted(static_cast<VectorId>(i))) {
+      if (!index->IsDeleted(static_cast<VectorId>(i))) {
         return Status::IOError("EncryptedDatabase: blank ciphertext for live vector");
       }
     } else if (c.data.size() != 4 * c.block) {
       return Status::IOError("EncryptedDatabase: bad ciphertext size");
     }
   }
-  EncryptedDatabase db{std::move(index), std::move(dce)};
-  if (db.dce.size() != db.index->capacity()) {
-    return Status::IOError("EncryptedDatabase: index/ciphertext mismatch");
-  }
-  return db;
+  return EncryptedDatabase{std::move(index), std::move(dce)};
 }
 
 }  // namespace ppanns

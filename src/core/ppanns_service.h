@@ -208,8 +208,8 @@ class PpannsService {
 
   /// The server behind the facade.
   const ShardedCloudServer& sharded_server() const { return server_; }
-  /// Mutable accessor for the replica health / fault-injection and
-  /// maintenance surface (SetReplicaDown, SetReplicaDelayMs, MaybeCompact).
+  /// Mutable accessor for the replica health and maintenance surface
+  /// (SetReplicaDown, CompactShard, MaybeCompact).
   ShardedCloudServer& sharded_server_mutable() { return server_; }
 
   /// Snapshots the current package (including maintenance mutations) in the

@@ -25,16 +25,14 @@ namespace ppanns {
 // so an in-flight query — including an abandoned hedge loser — keeps its
 // graph alive through the pin until it finishes.
 struct ShardedCloudServer::ShardSet {
-  /// One replica's dispatch slot: its health, fault-injection and load
-  /// cells. Atomic so every search path reads them lock-free; grouped per
-  /// shard so a compaction replaces exactly one shard's cells
-  /// (down/delay/request values carry over; in-flight resets — old
-  /// dispatches drain against the old group).
+  /// One replica's dispatch slot: its health and load cells. Atomic so
+  /// every search path reads them lock-free; grouped per shard so a rebuild
+  /// replaces exactly one shard's cells (down/request values carry over;
+  /// in-flight resets — old dispatches drain against the old group).
   struct ReplicaState {
     std::atomic<bool> down{false};
-    std::atomic<int> delay_ms{0};
-    /// Outstanding filter dispatches (queued + executing, plus any
-    /// AddReplicaLoad bias) — what the load-aware dispatcher minimizes.
+    /// Outstanding filter dispatches (queued + executing) — what the
+    /// load-aware dispatcher minimizes.
     std::atomic<int> inflight{0};
     /// Filter scans actually started (observability).
     std::atomic<std::size_t> requests{0};
@@ -90,18 +88,9 @@ struct ShardedCloudServer::Maintenance {
 
 namespace {
 
-using ReplicaState = ShardedCloudServer::ShardSet::ReplicaState;
-using ShardGroup = ShardedCloudServer::ShardSet::ShardGroup;
-
-/// Simulated straggler: the injected latency of a filter work item, served
-/// in 1 ms slices so a cancelled item (lost hedge, expired deadline) wakes
-/// out of it at the next slice instead of sleeping uselessly to the end.
-void InterruptibleDelay(int delay_ms, SearchContext* ctx) {
-  for (int slice = 0; slice < delay_ms; ++slice) {
-    if (ctx != nullptr && ctx->ShouldStop(ctx->stats.nodes_visited)) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
+using ShardSet = ShardedCloudServer::ShardSet;
+using ReplicaState = ShardSet::ReplicaState;
+using ShardGroup = ShardSet::ShardGroup;
 
 /// The in-process ShardTransport: one replica slot's scan of its shard's
 /// CloudServer, behind a function call. Holds pointers only into its own
@@ -110,15 +99,11 @@ void InterruptibleDelay(int delay_ms, SearchContext* ctx) {
 class LocalShardTransport final : public ShardTransport {
  public:
   LocalShardTransport(const CloudServer* replica,
-                      const std::vector<VectorId>* local_to_global,
-                      const std::atomic<int>* delay_ms)
-      : replica_(replica),
-        local_to_global_(local_to_global),
-        delay_ms_(delay_ms) {}
+                      const std::vector<VectorId>* local_to_global)
+      : replica_(replica), local_to_global_(local_to_global) {}
 
   Status Filter(const QueryToken& token, const ShardFilterOptions& options,
                 SearchContext* ctx, ShardFilterResult* out) const override {
-    InterruptibleDelay(delay_ms_->load(std::memory_order_acquire), ctx);
     if (replica_->index().size() == 0 ||
         (ctx != nullptr && ctx->ShouldStop(ctx->stats.nodes_visited))) {
       return Status::OK();  // cancelled/empty before any scan work
@@ -139,20 +124,31 @@ class LocalShardTransport final : public ShardTransport {
  private:
   const CloudServer* replica_;
   const std::vector<VectorId>* local_to_global_;
-  const std::atomic<int>* delay_ms_;
 };
 
-/// Allocates a group's R slots — state cells and in-process transports, all
-/// over the one server — once its server and local_to_global vector objects
-/// exist (the transports hold the vector's address, so the rows may still
-/// be filled afterwards).
-void WireLocalGroup(ShardGroup* group, std::size_t num_replicas) {
+/// Shard s's group over `server`: R slots — state cells and in-process
+/// transports over the one server, each wrapped by `decorate` when one is
+/// set — and one local_to_global row per local id, left unmapped for the
+/// caller to fill (the transports hold the vector's address, not its rows).
+std::shared_ptr<ShardGroup> MakeLocalGroup(CloudServer server, std::size_t s,
+                                           std::size_t num_replicas,
+                                           std::uint64_t compaction_epoch,
+                                           const TransportDecorator& decorate) {
+  auto group = std::make_shared<ShardGroup>();
+  group->server.emplace(std::move(server));
+  group->compaction_epoch = compaction_epoch;
+  group->local_to_global.resize(group->server->index().capacity(),
+                                kInvalidVectorId);
   group->state = std::make_unique<ReplicaState[]>(num_replicas);
   group->transports.reserve(num_replicas);
   for (std::size_t r = 0; r < num_replicas; ++r) {
-    group->transports.push_back(std::make_unique<LocalShardTransport>(
-        &*group->server, &group->local_to_global, &group->state[r].delay_ms));
+    std::unique_ptr<ShardTransport> transport =
+        std::make_unique<LocalShardTransport>(&*group->server,
+                                              &group->local_to_global);
+    if (decorate) transport = decorate(s, r, std::move(transport));
+    group->transports.push_back(std::move(transport));
   }
+  return group;
 }
 
 /// A fresh compacted shard: the live rows of `old_index` (in local-id
@@ -176,27 +172,32 @@ EncryptedDatabase BuildCompactedShard(const SecureFilterIndex& old_index,
   return db;
 }
 
-/// Carries the admin-visible replica flags (down, injected delay, request
-/// totals) from a replaced group onto its rebuilt successor. In-flight
-/// counts reset: outstanding dispatches decrement the OLD group's cells, so
-/// copying them would leave phantom load steering the dispatcher forever.
+/// Carries the admin-visible replica state (down flags, request totals)
+/// from a replaced group onto its rebuilt successor. In-flight counts reset:
+/// outstanding dispatches decrement the OLD group's cells, so copying them
+/// would leave phantom load steering the dispatcher forever.
 void CarryReplicaState(const ShardGroup& from, ShardGroup* to,
                        std::size_t num_replicas) {
   for (std::size_t r = 0; r < num_replicas; ++r) {
     to->state[r].down.store(from.state[r].down.load(std::memory_order_acquire),
                             std::memory_order_release);
-    to->state[r].delay_ms.store(
-        from.state[r].delay_ms.load(std::memory_order_acquire),
-        std::memory_order_release);
     to->state[r].requests.store(
         from.state[r].requests.load(std::memory_order_acquire),
         std::memory_order_release);
   }
 }
 
-/// Live local ids of a shard's index, ascending — the rank order a
-/// compaction assigns new local ids in.
-std::vector<VectorId> LiveLocals(const SecureFilterIndex& index) {
+/// Live local ids of shard s, ascending — the rank order a rebuild assigns
+/// new local ids in — or InvalidArgument naming `op` when s is outside the
+/// topology.
+Result<std::vector<VectorId>> LiveLocals(const ShardSet& set, std::size_t s,
+                                         const char* op) {
+  if (s >= set.groups.size()) {
+    return Status::InvalidArgument(
+        std::string(op) + ": shard " + std::to_string(s) + " is outside the " +
+        std::to_string(set.groups.size()) + "-shard topology");
+  }
+  const SecureFilterIndex& index = set.groups[s]->server->index();
   std::vector<VectorId> live;
   live.reserve(index.size());
   for (std::size_t l = 0; l < index.capacity(); ++l) {
@@ -209,9 +210,11 @@ std::vector<VectorId> LiveLocals(const SecureFilterIndex& index) {
 
 }  // namespace
 
-ShardedCloudServer::ShardedCloudServer(ShardedEncryptedDatabase db)
+ShardedCloudServer::ShardedCloudServer(ShardedEncryptedDatabase db,
+                                       TransportDecorator decorator)
     : runtime_(std::make_unique<Runtime>()),
-      maintenance_(std::make_unique<Maintenance>()) {
+      maintenance_(std::make_unique<Maintenance>()),
+      decorator_(std::move(decorator)) {
   std::vector<CloudServer> shards;
   shards.reserve(db.shards.size());
   for (EncryptedDatabase& shard : db.shards) {
@@ -246,14 +249,10 @@ void ShardedCloudServer::Adopt(
   capacities.reserve(shards.size());
   set->groups.reserve(shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    auto group = std::make_shared<ShardGroup>();
-    group->server.emplace(std::move(shards[s]));
-    capacities.push_back(group->server->index().capacity());
-    group->compaction_epoch =
-        s < compaction_epochs.size() ? compaction_epochs[s] : 0;
-    group->local_to_global.resize(capacities[s], kInvalidVectorId);
-    WireLocalGroup(group.get(), num_replicas);
-    set->groups.push_back(std::move(group));
+    set->groups.push_back(MakeLocalGroup(
+        std::move(shards[s]), s, num_replicas,
+        s < compaction_epochs.size() ? compaction_epochs[s] : 0, decorator_));
+    capacities.push_back(set->groups.back()->local_to_global.size());
   }
   // Owner-built packages are consistent by construction and Deserialize
   // revalidates on load; an inconsistent manifest here is a programmer error.
@@ -311,6 +310,7 @@ ShardedCloudServer& ShardedCloudServer::operator=(
     maintenance_ = std::move(other.maintenance_);
     mutation_transports_ = std::move(other.mutation_transports_);
     remote_epoch_ = std::move(other.remote_epoch_);
+    decorator_ = std::move(other.decorator_);
   }
   return *this;
 }
@@ -410,40 +410,44 @@ void ShardedCloudServer::DrainAsyncWork() const {
 
 // ---- Maintenance ------------------------------------------------------------
 
-Status ShardedCloudServer::CompactShardLocked(std::size_t s,
-                                              std::size_t build_threads) {
+Status ShardedCloudServer::RebuildShardLocked(
+    std::size_t s, const std::vector<std::span<const VectorId>>& parts,
+    std::size_t build_threads) {
   const std::shared_ptr<ShardSet> cur = set_->Current();
-  if (s >= cur->groups.size()) {
-    return Status::InvalidArgument("CompactShard: shard " + std::to_string(s) +
-                                   " is outside the " +
-                                   std::to_string(cur->groups.size()) +
-                                   "-shard topology");
-  }
   const ShardGroup& old_group = *cur->groups[s];
   const CloudServer& old_shard = *old_group.server;
-  const std::vector<VectorId> live = LiveLocals(old_shard.index());
 
-  // The expensive part — gathering rows and rebuilding the index — reads
+  // The expensive part — gathering rows and rebuilding the indexes — reads
   // the old group const while searches keep serving it. Nothing is
   // published until the single Swap below.
-  auto group = std::make_shared<ShardGroup>();
-  group->server.emplace(BuildCompactedShard(
-      old_shard.index(), old_shard.dce_ciphertexts(), live, build_threads));
-  group->compaction_epoch = old_group.compaction_epoch + 1;
-  group->local_to_global.resize(live.size(), kInvalidVectorId);
-  WireLocalGroup(group.get(), cur->num_replicas);
-  CarryReplicaState(old_group, group.get(), cur->num_replicas);
-
   auto next = std::make_shared<ShardSet>();
   next->num_replicas = cur->num_replicas;
   next->state_version = cur->state_version + 1;
   next->groups = cur->groups;  // every other shard is shared, not copied
   next->manifest = cur->manifest;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const VectorId g = old_group.local_to_global[live[i]];
-    group->local_to_global[i] = g;
-    next->manifest.entries[g] =
-        ShardRef{static_cast<ShardId>(s), static_cast<VectorId>(i)};
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    // Part 0 keeps shard id s and its slots' admin state; a later part is a
+    // new shard appended at the end, with clean state (it did not exist
+    // when the flags were set).
+    const std::size_t id = p == 0 ? s : next->groups.size();
+    const std::span<const VectorId> part = parts[p];
+    std::shared_ptr<ShardGroup> group = MakeLocalGroup(
+        CloudServer(BuildCompactedShard(old_shard.index(),
+                                        old_shard.dce_ciphertexts(), part,
+                                        build_threads)),
+        id, cur->num_replicas, old_group.compaction_epoch + 1, decorator_);
+    if (p == 0) CarryReplicaState(old_group, group.get(), cur->num_replicas);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      const VectorId g = old_group.local_to_global[part[i]];
+      group->local_to_global[i] = g;
+      next->manifest.entries[g] =
+          ShardRef{static_cast<ShardId>(id), static_cast<VectorId>(i)};
+    }
+    if (p == 0) {
+      next->groups[s] = std::move(group);
+    } else {
+      next->groups.push_back(std::move(group));
+    }
   }
   // Tombstoned slots are physically gone: their global ids become dead refs
   // (forever — ids are never reused), so Delete reports NotFound and a
@@ -453,81 +457,36 @@ Status ShardedCloudServer::CompactShardLocked(std::size_t s,
     const VectorId g = old_group.local_to_global[l];
     if (g != kInvalidVectorId) next->manifest.entries[g] = kDeadShardRef;
   }
-  next->groups[s] = std::move(group);
 
   set_->Swap(std::move(next));
   return Status::OK();
 }
 
+Status ShardedCloudServer::CompactShardLocked(std::size_t s,
+                                              std::size_t build_threads) {
+  auto live = LiveLocals(*set_->Current(), s, "CompactShard");
+  if (!live.ok()) return live.status();
+  return RebuildShardLocked(s, {std::span<const VectorId>(*live)},
+                            build_threads);
+}
+
 Status ShardedCloudServer::SplitShardLocked(std::size_t s,
                                             std::size_t build_threads) {
-  const std::shared_ptr<ShardSet> cur = set_->Current();
-  if (s >= cur->groups.size()) {
-    return Status::InvalidArgument("SplitShard: shard " + std::to_string(s) +
-                                   " is outside the " +
-                                   std::to_string(cur->groups.size()) +
-                                   "-shard topology");
-  }
-  const ShardGroup& old_group = *cur->groups[s];
-  const CloudServer& old_shard = *old_group.server;
-  const std::vector<VectorId> live = LiveLocals(old_shard.index());
-  if (live.size() < 2) {
+  auto live = LiveLocals(*set_->Current(), s, "SplitShard");
+  if (!live.ok()) return live.status();
+  if (live->size() < 2) {
     return Status::FailedPrecondition("SplitShard: shard " +
                                       std::to_string(s) + " has " +
-                                      std::to_string(live.size()) +
+                                      std::to_string(live->size()) +
                                       " live vectors; nothing to split");
   }
-
   // Deterministic split by live rank: the first ceil(n/2) stay on shard s,
   // the rest move to a new shard appended at the end. Both halves are built
   // compacted, so the split doubles as a compaction of s.
-  const std::size_t keep = (live.size() + 1) / 2;
-  const std::span<const VectorId> keep_live(live.data(), keep);
-  const std::span<const VectorId> move_live(live.data() + keep,
-                                            live.size() - keep);
-  const ShardId new_shard = static_cast<ShardId>(cur->groups.size());
-
-  auto build_half = [&](std::span<const VectorId> half) {
-    auto group = std::make_shared<ShardGroup>();
-    group->server.emplace(BuildCompactedShard(
-        old_shard.index(), old_shard.dce_ciphertexts(), half, build_threads));
-    group->compaction_epoch = old_group.compaction_epoch + 1;
-    group->local_to_global.resize(half.size(), kInvalidVectorId);
-    WireLocalGroup(group.get(), cur->num_replicas);
-    return group;
-  };
-  auto group_a = build_half(keep_live);
-  auto group_b = build_half(move_live);
-  // The surviving shard id keeps its admin flags; the new shard starts with
-  // clean state (it did not exist when the flags were set).
-  CarryReplicaState(old_group, group_a.get(), cur->num_replicas);
-
-  auto next = std::make_shared<ShardSet>();
-  next->num_replicas = cur->num_replicas;
-  next->state_version = cur->state_version + 1;
-  next->groups = cur->groups;
-  next->manifest = cur->manifest;
-  for (std::size_t i = 0; i < keep_live.size(); ++i) {
-    const VectorId g = old_group.local_to_global[keep_live[i]];
-    group_a->local_to_global[i] = g;
-    next->manifest.entries[g] =
-        ShardRef{static_cast<ShardId>(s), static_cast<VectorId>(i)};
-  }
-  for (std::size_t i = 0; i < move_live.size(); ++i) {
-    const VectorId g = old_group.local_to_global[move_live[i]];
-    group_b->local_to_global[i] = g;
-    next->manifest.entries[g] = ShardRef{new_shard, static_cast<VectorId>(i)};
-  }
-  for (std::size_t l = 0; l < old_group.local_to_global.size(); ++l) {
-    if (!old_shard.index().IsDeleted(static_cast<VectorId>(l))) continue;
-    const VectorId g = old_group.local_to_global[l];
-    if (g != kInvalidVectorId) next->manifest.entries[g] = kDeadShardRef;
-  }
-  next->groups[s] = std::move(group_a);
-  next->groups.push_back(std::move(group_b));
-
-  set_->Swap(std::move(next));
-  return Status::OK();
+  const std::span<const VectorId> all(*live);
+  const std::size_t keep = (all.size() + 1) / 2;
+  return RebuildShardLocked(s, {all.first(keep), all.subspan(keep)},
+                            build_threads);
 }
 
 Status ShardedCloudServer::CompactShard(std::size_t s) {
@@ -733,18 +692,6 @@ bool ShardedCloudServer::ReplicaDown(const ShardSet& set, std::size_t s,
 
 bool ShardedCloudServer::replica_down(std::size_t s, std::size_t r) const {
   return ReplicaDown(*set_->Pin(), s, r);
-}
-
-void ShardedCloudServer::SetReplicaDelayMs(std::size_t s, std::size_t r,
-                                           int delay_ms) {
-  set_->Pin()->groups[s]->state[r].delay_ms.store(delay_ms,
-                                                  std::memory_order_release);
-}
-
-void ShardedCloudServer::AddReplicaLoad(std::size_t s, std::size_t r,
-                                        int delta) {
-  set_->Pin()->groups[s]->state[r].inflight.fetch_add(
-      delta, std::memory_order_acq_rel);
 }
 
 int ShardedCloudServer::replica_inflight(std::size_t s, std::size_t r) const {

@@ -20,9 +20,11 @@
 // latency-hiding and loss-tolerant. Every shard may carry R replicas; any
 // replica answers for the shard with identical results. In process, the R
 // replicas are R dispatch slots over one shared CloudServer — each slot has
-// its own transport, down flag, injected delay and load counters, and the
-// shard's data is built, mutated and swapped once. Over the wire each slot
-// reaches its own endpoint. So
+// its own transport, down flag and load counters, and the shard's data is
+// built, mutated and swapped once. Over the wire each slot reaches its own
+// endpoint. The server knows no faults: tests and benches inject stragglers
+// and failing replicas by decorating the slot transports
+// (TransportDecorator, net/fault_injecting_transport.h). So
 //  * replica loss — a replica marked down, or a dispatch that fails —
 //    fails over to a live replica without changing a single result id;
 //  * with hedging on, work items run as ThreadPool tasks and, when one
@@ -123,8 +125,11 @@ class ShardedCloudServer {
   /// Takes ownership of a validated package (Deserialize has already checked
   /// the manifest and replica consistency; owner-built packages are
   /// consistent by construction). Each shard is held once and served
-  /// through num_replicas slots.
-  explicit ShardedCloudServer(ShardedEncryptedDatabase db);
+  /// through num_replicas slots. A non-empty `decorator` wraps every slot's
+  /// in-process transport — now and whenever compaction or a split rebuilds
+  /// a shard — which is how faults are injected.
+  explicit ShardedCloudServer(ShardedEncryptedDatabase db,
+                              TransportDecorator decorator = {});
 
   /// The single-index topology: one shard of one replica whose global ids
   /// are its local ids (ShardManifest::Identity over the whole capacity,
@@ -336,43 +341,30 @@ class ShardedCloudServer {
   const ShardManifest& manifest() const;
 
   /// The server-side entry of the RPC boundary: one filter scan on replica
-  /// (s, r), exactly as a gather-side transport dispatches it — injected
-  /// delay, context-bounded scan, global-id translation — plus the
+  /// (s, r) through its transport, exactly as a gather-side dispatch runs it
+  /// — context-bounded scan, global-id translation — plus the
   /// candidates' DCE ciphertexts when options.want_dce is set (the remote
   /// gather holds no shard data to refine against). Local servers only.
   Status FilterShard(std::size_t s, std::size_t r, const QueryToken& token,
                      const ShardFilterOptions& options, SearchContext* ctx,
                      ShardFilterResult* out) const;
 
-  // ---- Replica health & fault injection (admin / test / bench surface).
-  // In a multi-process deployment these flags would be driven by health
-  // checks; in-process they simulate loss and stragglers deterministically.
-  // Compaction carries the down/delay flags onto the rebuilt group, so a
-  // fault injection survives maintenance.
+  // ---- Replica health (admin surface). In a multi-process deployment the
+  // down flags would be driven by health checks. Compaction carries them
+  // onto the rebuilt group, so a replica marked down stays down.
 
   /// Marks a replica up/down. Down replicas are skipped at dispatch time by
   /// every search path and by hedging.
   void SetReplicaDown(std::size_t s, std::size_t r, bool down);
   bool replica_down(std::size_t s, std::size_t r) const;
-  /// Injects a fixed artificial latency into every filter-phase execution on
-  /// replica (s, r) — the straggler knob behind bench/fig11_tail_latency.
-  /// The delay is served in interruptible slices: a cancelled work item
-  /// (lost hedge, expired deadline) wakes out of it within ~1 ms.
-  void SetReplicaDelayMs(std::size_t s, std::size_t r, int delay_ms);
   /// Live replicas of shard s (R minus the ones marked down).
   std::size_t live_replicas(std::size_t s) const;
 
   // ---- Load-aware dispatch observability (admin / test / bench surface).
 
-  /// Biases the load-aware dispatcher by `delta` outstanding requests on
-  /// replica (s, r) — an external load hint. In a multi-process deployment
-  /// this would be fed by the dispatcher's own outstanding-request counts;
-  /// in-process it makes load-aware routing deterministic to test. The bias
-  /// does not survive a compaction of the shard (the rebuilt group starts
-  /// with zero in-flight — old dispatches drain against the old group).
-  void AddReplicaLoad(std::size_t s, std::size_t r, int delta);
-  /// Filter scans currently in flight (plus any AddReplicaLoad bias) on
-  /// replica (s, r) — the quantity the dispatcher minimizes.
+  /// Filter scans currently in flight on replica (s, r) — the quantity the
+  /// dispatcher minimizes. A rebuilt shard starts at zero (old dispatches
+  /// drain against the old group).
   int replica_inflight(std::size_t s, std::size_t r) const;
   /// Filter scans that actually started on replica (s, r) since
   /// construction (cancelled-before-scan work items do not count).
@@ -520,6 +512,15 @@ class ShardedCloudServer {
   Status CompactShardLocked(std::size_t s, std::size_t build_threads);
   Status SplitShardLocked(std::size_t s, std::size_t build_threads);
 
+  /// Their one rebuild: one compacted shard per part of shard s's live local
+  /// ids (compaction: {live}; split: its two halves). Part 0 keeps id s and
+  /// its slots' down flags and request totals; later parts are appended as
+  /// new shards. Rewrites the manifest (s's tombstoned ids become dead
+  /// refs) and swaps the new ShardSet in.
+  Status RebuildShardLocked(
+      std::size_t s, const std::vector<std::span<const VectorId>>& parts,
+      std::size_t build_threads);
+
   /// The remote broadcast core: runs `apply` against every attached
   /// MutationTransport under the maintenance mutex, requires the outcomes to
   /// agree on (status code, id, state_version, size), folds the agreed
@@ -541,6 +542,9 @@ class ShardedCloudServer {
   std::vector<std::unique_ptr<MutationTransport>> mutation_transports_;
   /// Cluster-wide structural-epoch fence (remote only; may be null).
   std::shared_ptr<std::atomic<std::uint64_t>> remote_epoch_;
+  /// Wraps every in-process slot transport, rebuilt shards' too (empty:
+  /// none).
+  TransportDecorator decorator_;
 };
 
 }  // namespace ppanns

@@ -13,20 +13,6 @@
 
 namespace ppanns {
 
-namespace {
-
-/// Injected straggler latency, served in 1 ms slices so a CANCEL frame (or
-/// the request's rebased deadline) wakes the scan out of it promptly — the
-/// same shape as the in-process delay knob.
-void InterruptibleDelay(int delay_ms, SearchContext* ctx) {
-  for (int slice = 0; slice < delay_ms; ++slice) {
-    if (ctx->ShouldStop(ctx->stats.nodes_visited)) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-}  // namespace
-
 // One accepted connection. Scan threads hold it by shared_ptr, so a scan
 // that finishes after Stop() still has a live socket (already shut down —
 // its write just fails) and live bookkeeping to decrement.
@@ -431,15 +417,13 @@ void ShardServer::RunFilter(const std::shared_ptr<Connection>& conn,
         "us is below the admission floor " +
         std::to_string(request->admission_floor_us) + "us"));
   } else {
-    InterruptibleDelay(scan_delay_ms_.load(std::memory_order_relaxed), &ctx);
     ShardFilterOptions options;
     options.k_prime = static_cast<std::size_t>(request->k_prime);
     options.ef_search = static_cast<std::size_t>(request->ef_search);
     options.want_dce = request->want_dce != 0;
     ShardFilterResult result;
     // Shared lock: scans run concurrently with each other, never with a
-    // mutation mid-apply. Taken after the injected delay so the straggler
-    // knob does not stall real mutations.
+    // mutation mid-apply.
     std::shared_lock<std::shared_mutex> serve_lock(serve_mu_);
     const Status st =
         sharded().FilterShard(request->shard, request->replica, request->token,

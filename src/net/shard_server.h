@@ -15,7 +15,10 @@
 // inline handling makes each connection's mutations naturally ordered. A
 // server-wide reader/writer lock keeps filter scans and mutations apart —
 // the mutation contract says callers serialize mutation against their own
-// searches, and over the wire the server IS that caller.
+// searches, and over the wire the server IS that caller. A scan holds the
+// shared side for its whole FilterShard call, including any delay a
+// decorated slot transport injects (`ppanns_shard_server --delay`), so a
+// mutation waits for a delayed scan to finish.
 //
 // Cancellation: every in-flight scan registers a per-request atomic flag; a
 // kCancel frame naming the request id raises it and the scan's CancelProbe
@@ -77,13 +80,6 @@ class ShardServer {
   /// The bound port (after a successful Start).
   std::uint16_t port() const { return port_; }
 
-  /// Injects `ms` of delay before every scan this server runs — test hook
-  /// for deadline/cancellation/hedging suites, same knob as the in-process
-  /// SetReplicaDelay.
-  void set_scan_delay_ms(int ms) {
-    scan_delay_ms_.store(ms, std::memory_order_relaxed);
-  }
-
   /// Stops accepting, tears down every connection, and joins all threads.
   /// In-flight scans are cancelled and drained. Idempotent.
   void Stop();
@@ -124,7 +120,6 @@ class ShardServer {
   PpannsService* service_;
   std::vector<std::uint32_t> served_shards_;
   Options options_;
-  std::atomic<int> scan_delay_ms_{0};
 
   /// Filter scans hold this shared; mutations hold it exclusive — the
   /// server is the "caller" of the mutation contract and must serialize its

@@ -22,6 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,6 +82,15 @@ class ShardTransport {
   /// True for transports that cross a process boundary.
   virtual bool remote() const = 0;
 };
+
+/// Wraps the transport of replica slot (shard, replica) in another one —
+/// the seam fault injection (net/fault_injecting_transport.h) plugs into.
+/// ShardedCloudServer applies it to every in-process slot it wires, the
+/// slots of shards that compaction and split rebuild included. Returning
+/// `inner` unchanged is a valid decorator.
+using TransportDecorator = std::function<std::unique_ptr<ShardTransport>(
+    std::size_t shard, std::size_t replica,
+    std::unique_ptr<ShardTransport> inner)>;
 
 /// Forward declaration — the full ciphertext pair lives in core.
 struct EncryptedVector;

@@ -5,12 +5,14 @@
 // hedged stragglers finishing early with identical ids, clean hedge
 // cancellation, and maintenance keeping replicas in lockstep.
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "core/query_client.h"
 #include "datagen/synthetic.h"
 #include "net/auth.h"
+#include "net/fault_injecting_transport.h"
 
 namespace ppanns {
 namespace {
@@ -341,10 +344,12 @@ std::string Sha256Hex(const std::vector<std::uint8_t>& bytes) {
 }
 
 // The package bytes and the deployment byte count do not depend on how the
-// server holds its replicas. The digests and counts below were recorded when
-// every in-process replica was its own deserialized copy of the shard: an
-// owner build (v2), the same after 20 inserts and 20 deletes (v2), and after
-// one compaction (v3).
+// server holds its replicas or how it rebuilds shards. The digests and counts
+// below for an owner build (v2), the same after 20 inserts and 20 deletes
+// (v2), and after one compaction (v3) were recorded when every in-process
+// replica was its own deserialized copy of the shard; the one after a split
+// of the other shard (v3) when compaction and split were separate code
+// paths.
 TEST(ReplicatedBuildTest, PackageBytesMatchParentFormat) {
   const Dataset ds = MakeData(200, 0, /*seed=*/61);
   DataOwner owner = MakeOwner(BaseParams(IndexKind::kHnsw, 2, 2, 61));
@@ -375,6 +380,13 @@ TEST(ReplicatedBuildTest, PackageBytesMatchParentFormat) {
   EXPECT_EQ(Sha256Hex(compacted.buffer()),
             "c3d43a9c4ce314c1336eea77a0d505d0bdaac90c3179a57ad158ead0cb3930db");
   EXPECT_EQ(cluster.StorageBytes(), 662000u);
+
+  ASSERT_TRUE(cluster.SplitShard(1).ok());
+  BinaryWriter split;
+  cluster.SerializeDatabase(&split);
+  EXPECT_EQ(Sha256Hex(split.buffer()),
+            "5888640f250a1cbfaf61e5ed27b51c739a6922d85551a1075e8b643b372f86ad");
+  EXPECT_EQ(cluster.StorageBytes(), 661792u);
 }
 
 TEST(ReplicatedBuildTest, ZeroReplicasIsRejected) {
@@ -392,8 +404,8 @@ class AsyncServingTest : public ::testing::Test {
     ds_ = MakeData(240, 12, /*seed=*/21);
     owner_ = std::make_unique<DataOwner>(
         MakeOwner(BaseParams(IndexKind::kBruteForce, 4, 2, 21)));
-    service_ = std::make_unique<PpannsService>(
-        ShardedCloudServer(owner_->EncryptAndIndexSharded(ds_.base)));
+    service_ = std::make_unique<PpannsService>(ShardedCloudServer(
+        owner_->EncryptAndIndexSharded(ds_.base), faults_.Decorator()));
     tokens_ = MakeTokens(*owner_, ds_, 23);
   }
 
@@ -410,8 +422,38 @@ class AsyncServingTest : public ::testing::Test {
 
   Dataset ds_;
   std::unique_ptr<DataOwner> owner_;
+  /// Injected faults of the served cluster's replica slots.
+  FaultPlan faults_;
   std::unique_ptr<PpannsService> service_;
   std::vector<QueryToken> tokens_;
+};
+
+/// One filter dispatch parked on replica slot (s, r) from its own thread —
+/// inside an injected delay, so it counts as that slot's in-flight load —
+/// until Release() (or destruction) cancels it.
+class ParkedDispatch {
+ public:
+  ParkedDispatch(const ShardedCloudServer& cluster, std::size_t s,
+                 std::size_t r, const QueryToken& token)
+      : thread_([this, &cluster, s, r, &token] {
+          SearchContext ctx;
+          ctx.AddCancelFlag(&cancel_);
+          ShardFilterOptions options;
+          options.k_prime = 8;
+          ShardFilterResult out;
+          EXPECT_TRUE(
+              cluster.FilterShard(s, r, token, options, &ctx, &out).ok());
+        }) {}
+  ~ParkedDispatch() { Release(); }
+
+  void Release() {
+    cancel_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> cancel_{false};
+  std::thread thread_;
 };
 
 TEST_F(AsyncServingTest, AsyncMatchesSyncOnHealthyCluster) {
@@ -511,8 +553,7 @@ TEST_F(AsyncServingTest, HedgedStragglerFinishesEarlyWithIdenticalIds) {
   // One replica of shard 0 answers 400 ms late. The sync path eats the full
   // delay; the hedged async path re-dispatches to the healthy replica after
   // 10 ms and must return the identical ids in well under the delay.
-  ShardedCloudServer& cluster = service_->sharded_server_mutable();
-  cluster.SetReplicaDelayMs(0, 0, 400);
+  faults_.Cell(0, 0)->delay_ms = 400;
 
   Timer sync_timer;
   auto sync = service_->Search(tokens_[0], k);
@@ -545,8 +586,7 @@ TEST_F(AsyncServingTest, MutationAfterHedgedSearchWaitsForLosers) {
   // A hedge loser can still be reading the indexes when SearchAsync
   // returns; Insert/Delete must drain it before mutating (under sanitizers
   // this is the use-after-free / data-race regression).
-  ShardedCloudServer& cluster = service_->sharded_server_mutable();
-  cluster.SetReplicaDelayMs(0, 0, 100);
+  faults_.Cell(0, 0)->delay_ms = 100;
   auto r = service_->SearchAsync(tokens_[0], 5, {},
                                  AsyncOptions{.hedge_ms = 5.0});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -635,9 +675,12 @@ TEST_F(AsyncServingTest, LoadAwareDispatchPrefersIdleReplica) {
   const std::vector<std::vector<VectorId>> healthy = HealthyIds(k);
   ShardedCloudServer& cluster = service_->sharded_server_mutable();
 
-  // Bias shard 0's replica 0 with an external load hint: every dispatch
-  // must now pick the idle replica 1 — deterministically, no timing.
-  cluster.AddReplicaLoad(0, 0, 5);
+  // Park a delayed dispatch on shard 0's replica 0: while it is in flight,
+  // every dispatch must pick the idle replica 1 — deterministically, no
+  // timing.
+  faults_.Cell(0, 0)->delay_ms = 60'000;
+  ParkedDispatch parked(cluster, 0, 0, tokens_[0]);
+  while (cluster.replica_inflight(0, 0) != 1) std::this_thread::yield();
   const std::size_t req00 = cluster.replica_requests(0, 0);
   const std::size_t req01 = cluster.replica_requests(0, 1);
 
@@ -654,8 +697,10 @@ TEST_F(AsyncServingTest, LoadAwareDispatchPrefersIdleReplica) {
   EXPECT_EQ(cluster.replica_requests(0, 0), req00);
   EXPECT_EQ(cluster.replica_requests(0, 1), req01 + 2);
 
-  // Hint removed: ties resume the deterministic first-replica order.
-  cluster.AddReplicaLoad(0, 0, -5);
+  // Parked dispatch cancelled (before it scanned) and the delay lifted:
+  // ties resume the deterministic first-replica order.
+  parked.Release();
+  faults_.Cell(0, 0)->delay_ms = 0;
   auto tie = service_->Search(tokens_[2], k);
   ASSERT_TRUE(tie.ok());
   EXPECT_EQ(cluster.replica_requests(0, 0), req00 + 1);
@@ -665,7 +710,7 @@ TEST_F(AsyncServingTest, LosingHedgeAbortsMidScanAndIdsMatch) {
   const std::size_t k = 8;
   const std::vector<std::vector<VectorId>> healthy = HealthyIds(k);
   ShardedCloudServer& cluster = service_->sharded_server_mutable();
-  cluster.SetReplicaDelayMs(0, 0, 200);
+  faults_.Cell(0, 0)->delay_ms = 200;
 
   // Mid-scan cancellation (default): the loser wakes out of its injected
   // delay at the next probe after the winner claims, so it never scans —
@@ -698,7 +743,7 @@ TEST_F(AsyncServingTest, LosingHedgeAbortsMidScanAndIdsMatch) {
   EXPECT_GE(cluster.CancelledScans(), scans_before + 1);
   EXPECT_GT(wasted_pre, wasted_mid);
 
-  cluster.SetReplicaDelayMs(0, 0, 0);
+  faults_.Cell(0, 0)->delay_ms = 0;
 }
 
 TEST_F(AsyncServingTest, CallerCancellationReturnsPartialNotHang) {
@@ -725,8 +770,7 @@ TEST_F(AsyncServingTest, CallerCancellationReturnsPartialNotHang) {
 TEST_F(AsyncServingTest, HedgedBatchMatchesSequentialIds) {
   const std::size_t k = 8;
   const std::vector<std::vector<VectorId>> healthy = HealthyIds(k);
-  ShardedCloudServer& cluster = service_->sharded_server_mutable();
-  cluster.SetReplicaDelayMs(0, 0, 50);
+  faults_.Cell(0, 0)->delay_ms = 50;
 
   auto batch = service_->SearchBatch(tokens_, k, {},
                                      AsyncOptions{.hedge_ms = 5.0});
@@ -736,7 +780,7 @@ TEST_F(AsyncServingTest, HedgedBatchMatchesSequentialIds) {
     EXPECT_EQ(batch->results[i].ids, healthy[i]) << "hedged batch query " << i;
   }
   EXPECT_GE(batch->counters.total_hedged_requests, 1u);
-  cluster.SetReplicaDelayMs(0, 0, 0);
+  faults_.Cell(0, 0)->delay_ms = 0;
 
   // A healthy cluster: the hedged batch still matches, without hedges.
   auto calm = service_->SearchBatch(tokens_, k, {},
@@ -800,16 +844,6 @@ class InProcessTransport final : public ShardTransport {
   std::size_t shard_;
 };
 
-/// A healthy-looking remote replica whose every dispatch fails.
-class FailingTransport final : public ShardTransport {
- public:
-  Status Filter(const QueryToken&, const ShardFilterOptions&, SearchContext*,
-                ShardFilterResult*) const override {
-    return Status::IOError("injected dispatch failure");
-  }
-  bool remote() const override { return true; }
-};
-
 // A shard whose dispatch fails did not answer: every serving path marks the
 // query partial (so the facade never caches the truncated ids) and returns
 // only ids from the shards that answered.
@@ -824,15 +858,14 @@ TEST_F(AsyncServingTest, FailedDispatchIsPartialOnEveryPath) {
   topology.index_kind = backend.index_kind();
   topology.size = backend.size();
   topology.capacity = backend.capacity();
+  FaultPlan faults;
+  faults.Cell(failing_shard, 0)->fail = true;
+  const TransportDecorator decorate = faults.Decorator();
   std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
       topology.num_shards);
   for (std::size_t s = 0; s < topology.num_shards; ++s) {
-    if (s == failing_shard) {
-      transports[s].push_back(std::make_unique<FailingTransport>());
-    } else {
-      transports[s].push_back(
-          std::make_unique<InProcessTransport>(&backend, s));
-    }
+    transports[s].push_back(
+        decorate(s, 0, std::make_unique<InProcessTransport>(&backend, s)));
   }
   PpannsService gather{ShardedCloudServer(topology, std::move(transports))};
   gather.EnableResultCache();
@@ -882,16 +915,15 @@ TEST_F(AsyncServingTest, FailedDispatchFailsOverToTheNextReplica) {
     topology.index_kind = backend.index_kind();
     topology.size = backend.size();
     topology.capacity = backend.capacity();
+    FaultPlan faults;
+    faults.Cell(failing_shard, 0)->fail = inject_failure;
+    const TransportDecorator decorate = faults.Decorator();
     std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
         topology.num_shards);
     for (std::size_t s = 0; s < topology.num_shards; ++s) {
       for (std::size_t r = 0; r < topology.num_replicas; ++r) {
-        if (inject_failure && s == failing_shard && r == 0) {
-          transports[s].push_back(std::make_unique<FailingTransport>());
-        } else {
-          transports[s].push_back(
-              std::make_unique<InProcessTransport>(&backend, s));
-        }
+        transports[s].push_back(
+            decorate(s, r, std::make_unique<InProcessTransport>(&backend, s)));
       }
     }
     return PpannsService{ShardedCloudServer(topology, std::move(transports))};
@@ -937,7 +969,7 @@ TEST_F(AsyncServingTest, FailedDispatchFailsOverToTheNextReplica) {
 TEST_F(AsyncServingTest, FailedHedgeLeavesTheSlowReplicaToAnswer) {
   const std::size_t k = 8;
   const std::size_t slow_shard = 2;
-  ShardedCloudServer& backend = service_->sharded_server_mutable();
+  const ShardedCloudServer& backend = service_->sharded_server();
   ShardedCloudServer::RemoteTopology topology;
   topology.num_shards = backend.num_shards();
   topology.num_replicas = 2;
@@ -945,25 +977,23 @@ TEST_F(AsyncServingTest, FailedHedgeLeavesTheSlowReplicaToAnswer) {
   topology.index_kind = backend.index_kind();
   topology.size = backend.size();
   topology.capacity = backend.capacity();
+  FaultPlan faults;
+  faults.Cell(slow_shard, 0)->delay_ms = 50;
+  faults.Cell(slow_shard, 1)->fail = true;
+  const TransportDecorator decorate = faults.Decorator();
   std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
       topology.num_shards);
   for (std::size_t s = 0; s < topology.num_shards; ++s) {
-    transports[s].push_back(std::make_unique<InProcessTransport>(&backend, s));
-    if (s == slow_shard) {
-      transports[s].push_back(std::make_unique<FailingTransport>());
-    } else {
+    for (std::size_t r = 0; r < topology.num_replicas; ++r) {
       transports[s].push_back(
-          std::make_unique<InProcessTransport>(&backend, s));
+          decorate(s, r, std::make_unique<InProcessTransport>(&backend, s)));
     }
   }
   const PpannsService gather{
       ShardedCloudServer(topology, std::move(transports))};
   const std::vector<std::vector<VectorId>> healthy = HealthyIds(k);
 
-  // InProcessTransport serves from the backend's replica 0 of the shard.
-  backend.SetReplicaDelayMs(slow_shard, 0, 50);
   auto r = gather.SearchAsync(tokens_[0], k, {}, AsyncOptions{.hedge_ms = 5.0});
-  backend.SetReplicaDelayMs(slow_shard, 0, 0);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->counters.hedged_requests, 1u);
   EXPECT_FALSE(r->partial);
@@ -975,17 +1005,16 @@ TEST_F(AsyncServingTest, FailedHedgeLeavesTheSlowReplicaToAnswer) {
 // partial results disabled, where a shard that did not answer for any other
 // reason is a FailedPrecondition.
 TEST_F(AsyncServingTest, ExpiredDeadlineWithoutPartialIsDeadlineExceeded) {
-  ShardedCloudServer& cluster = service_->sharded_server_mutable();
-  cluster.SetReplicaDelayMs(0, 0, 200);
-  cluster.SetReplicaDelayMs(0, 1, 200);
+  faults_.Cell(0, 0)->delay_ms = 200;
+  faults_.Cell(0, 1)->delay_ms = 200;
   const SearchSettings tight{.deadline_ms = 20.0};
   auto r = service_->SearchAsync(
       tokens_[0], 8, tight,
       AsyncOptions{.hedge_ms = 1000.0, .allow_partial = false});
   EXPECT_EQ(r.status().code(), Status::Code::kDeadlineExceeded)
       << r.status().ToString();
-  cluster.SetReplicaDelayMs(0, 0, 0);
-  cluster.SetReplicaDelayMs(0, 1, 0);
+  faults_.Cell(0, 0)->delay_ms = 0;
+  faults_.Cell(0, 1)->delay_ms = 0;
 }
 
 // replicas_skipped describes one query on every path: with the primaries of
@@ -1016,6 +1045,94 @@ TEST_F(AsyncServingTest, ReplicasSkippedIsPerQueryOnEveryPath) {
   for (const SearchResult& r : hedged_batch->results) {
     EXPECT_EQ(r.counters.replicas_skipped, 2u) << "hedged SearchBatch";
   }
+}
+
+// A slot whose every dispatch fails while it still looks healthy fails over
+// in process too: with replica (0,0) failing, every serving path retries
+// shard 0's items on replica 1 and answers in full with the healthy ids.
+TEST_F(AsyncServingTest, FailingInProcessSlotFailsOverOnEveryPath) {
+  const std::size_t k = 8;
+  const std::vector<std::vector<VectorId>> healthy = HealthyIds(k);
+  faults_.Cell(0, 0)->fail = true;
+  ASSERT_EQ(service_->sharded_server().live_replicas(0), 2u);
+  const AsyncOptions hedged{.hedge_ms = 1000.0};
+
+  for (std::size_t i = 0; i < tokens_.size(); ++i) {
+    auto sync = service_->Search(tokens_[i], k);
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    EXPECT_FALSE(sync->partial) << "Search, query " << i;
+    EXPECT_EQ(sync->ids, healthy[i]) << "Search, query " << i;
+    auto async = service_->SearchAsync(tokens_[i], k, {}, hedged);
+    ASSERT_TRUE(async.ok()) << async.status().ToString();
+    EXPECT_FALSE(async->partial) << "SearchAsync, query " << i;
+    EXPECT_EQ(async->ids, healthy[i]) << "SearchAsync, query " << i;
+  }
+  auto plain = service_->SearchBatch(tokens_, k);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  auto hedged_batch = service_->SearchBatch(tokens_, k, {}, hedged);
+  ASSERT_TRUE(hedged_batch.ok()) << hedged_batch.status().ToString();
+  for (std::size_t i = 0; i < tokens_.size(); ++i) {
+    EXPECT_FALSE(plain->results[i].partial) << "SearchBatch, query " << i;
+    EXPECT_EQ(plain->results[i].ids, healthy[i]) << "SearchBatch, query " << i;
+    EXPECT_FALSE(hedged_batch->results[i].partial)
+        << "hedged SearchBatch, query " << i;
+    EXPECT_EQ(hedged_batch->results[i].ids, healthy[i])
+        << "hedged SearchBatch, query " << i;
+  }
+}
+
+// Faults belong to slots, not to transport objects: a delay on (0,0) still
+// applies after CompactShard(0) rebuilt the shard's slots, and the shard a
+// split appends starts without one.
+TEST_F(AsyncServingTest, InjectedDelaySurvivesCompactionNotSplit) {
+  ShardedCloudServer& cluster = service_->sharded_server_mutable();
+  const auto filter_seconds = [&](std::size_t s) {
+    ShardFilterOptions options;
+    options.k_prime = 8;
+    SearchContext ctx;
+    ShardFilterResult out;
+    Timer timer;
+    EXPECT_TRUE(
+        cluster.FilterShard(s, 0, tokens_[0], options, &ctx, &out).ok());
+    EXPECT_TRUE(out.scanned) << "shard " << s;
+    return timer.ElapsedSeconds();
+  };
+  faults_.Cell(0, 0)->delay_ms = 300;
+
+  ASSERT_TRUE(cluster.CompactShard(0).ok());
+  EXPECT_GE(filter_seconds(0), 0.3) << "compaction dropped the delay";
+  const std::size_t appended = cluster.num_shards();
+  ASSERT_TRUE(cluster.SplitShard(0).ok());
+  ASSERT_EQ(cluster.num_shards(), appended + 1);
+  EXPECT_GE(filter_seconds(0), 0.3) << "the split dropped shard 0's delay";
+  EXPECT_LT(filter_seconds(appended), 0.15)
+      << "the appended shard inherited a delay";
+}
+
+// A caller cancel raised while the query's dispatches sit in injected delays
+// wakes them at the next 1 ms slice: the query returns promptly, cancelled,
+// having scanned nothing.
+TEST_F(AsyncServingTest, CancelMidInjectedDelayReturnsPromptly) {
+  ShardedCloudServer& cluster = service_->sharded_server_mutable();
+  for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
+    for (std::size_t r = 0; r < cluster.replication_factor(); ++r) {
+      faults_.Cell(s, r)->delay_ms = 60'000;
+    }
+  }
+  std::atomic<bool> cancel{false};
+  SearchContext ctx;
+  ctx.AddCancelFlag(&cancel);
+  SearchResult result;
+  std::thread query([&] { result = cluster.Search(tokens_[0], 8, {}, &ctx); });
+  while (cluster.replica_inflight(0, 0) == 0) std::this_thread::yield();
+  Timer since_cancel;
+  cancel.store(true, std::memory_order_release);
+  query.join();
+  const double seconds = since_cancel.ElapsedSeconds();
+
+  EXPECT_EQ(result.counters.early_exit, EarlyExit::kCancelled);
+  EXPECT_EQ(result.counters.nodes_visited, 0u);
+  EXPECT_LT(seconds, 0.1) << "the cancel did not cut the delay short";
 }
 
 // ---------------------------------------------------------------------------

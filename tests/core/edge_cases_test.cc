@@ -2,6 +2,9 @@
 // databases, boundary parameters, corrupted packages, and churn extremes.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +165,34 @@ TEST(EdgeCaseTest, CorruptedPackageFuzz) {
     (void)out;
   }
   SUCCEED();
+}
+
+TEST(EdgeCaseTest, HostileCiphertextCountIsIOError) {
+  // The ciphertext count follows the index in the package. Patched to 2^40
+  // it must fail the load with a Status before it sizes any allocation.
+  PpannsParams params = SmallParams(23);
+  params.index_kind = IndexKind::kBruteForce;
+  auto owner = DataOwner::Create(6, params);
+  ASSERT_TRUE(owner.ok());
+  Dataset ds = MakeDataset(SyntheticKind::kGloveLike, 20, 1, 0, 24, 6);
+  EncryptedDatabase db = owner->EncryptAndIndex(ds.base);
+  BinaryWriter w;
+  db.Serialize(&w);
+  BinaryWriter index_bytes;
+  db.index->Serialize(&index_bytes);
+  const std::size_t count_at =
+      2 * sizeof(std::uint32_t) + index_bytes.buffer().size();
+
+  std::vector<std::uint8_t> bad = w.buffer();
+  std::uint64_t count = 0;
+  std::memcpy(&count, bad.data() + count_at, sizeof(count));
+  ASSERT_EQ(count, 20u);
+  count = std::uint64_t{1} << 40;
+  std::memcpy(bad.data() + count_at, &count, sizeof(count));
+  BinaryReader r(bad);
+  auto out = EncryptedDatabase::Deserialize(&r);
+  EXPECT_EQ(out.status().code(), Status::Code::kIOError)
+      << out.status().ToString();
 }
 
 TEST(EdgeCaseTest, MismatchedDimensionsCaught) {

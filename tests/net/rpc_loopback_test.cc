@@ -19,6 +19,7 @@
 #include "core/query_client.h"
 #include "core/sharded_cloud_server.h"
 #include "datagen/synthetic.h"
+#include "net/fault_injecting_transport.h"
 #include "net/frame.h"
 #include "net/remote_shard.h"
 #include "net/shard_server.h"
@@ -72,7 +73,8 @@ std::string Endpoint(const ShardServer& server) {
 /// packages (same seed → bit-identical SAP streams, like the sharded suite's
 /// flat-vs-sharded equivalence): the remote side is a ShardServer hosting
 /// every shard behind a PpannsService facade, dialed through
-/// ConnectShardedService on loopback.
+/// ConnectShardedService on loopback. The backend's replica slots are
+/// decorated with `faults`, so a test can make them straggle server-side.
 struct Loopback {
   Loopback(IndexKind kind, std::uint32_t num_shards, std::uint32_t num_replicas,
            const Dataset& ds, std::uint64_t seed, std::size_t pool_size = 1) {
@@ -82,8 +84,8 @@ struct Loopback {
         MakeOwner(BaseParams(kind, num_shards, num_replicas, seed)));
     local = std::make_unique<PpannsService>(
         ShardedCloudServer(local_owner.EncryptAndIndexSharded(ds.base)));
-    backend = std::make_unique<PpannsService>(
-        ShardedCloudServer(owner->EncryptAndIndexSharded(ds.base)));
+    backend = std::make_unique<PpannsService>(ShardedCloudServer(
+        owner->EncryptAndIndexSharded(ds.base), faults.Decorator()));
     server = std::make_unique<ShardServer>(backend.get(),
                                            std::vector<std::uint32_t>{});
     PPANNS_CHECK(server->Start(0).ok());
@@ -92,11 +94,22 @@ struct Loopback {
     remote = std::make_unique<PpannsService>(std::move(*connected));
   }
 
+  /// Server-side faults of every backend replica slot.
+  FaultPlan faults;
   std::unique_ptr<DataOwner> owner;  ///< key authority for the token stream
   std::unique_ptr<PpannsService> local;
   std::unique_ptr<PpannsService> backend;  ///< behind the socket
   std::unique_ptr<ShardServer> server;
   std::unique_ptr<PpannsService> remote;
+
+  /// Every scan the backend serves sleeps `ms` first (cancellable).
+  void DelayEveryScan(int ms) {
+    for (std::size_t s = 0; s < backend->num_shards(); ++s) {
+      for (std::size_t r = 0; r < backend->num_replicas(); ++r) {
+        faults.Cell(s, r)->delay_ms = ms;
+      }
+    }
+  }
 };
 
 class RemoteEquivalenceTest : public ::testing::TestWithParam<std::uint32_t> {};
@@ -220,7 +233,7 @@ TEST(RemoteTopologyTest, TwoEndpointsAssembleAndGapsAreRejected) {
 TEST(RemoteDeadlineTest, InjectedDelayTripsTheDeadlineAtTheGather) {
   const Dataset ds = MakeData(300, 2, /*seed=*/25);
   Loopback lb(IndexKind::kBruteForce, 2, 1, ds, 25);
-  lb.server->set_scan_delay_ms(2000);
+  lb.DelayEveryScan(2000);
 
   const std::vector<QueryToken> tokens = MakeTokens(*lb.owner, ds, 37);
   const SearchSettings settings{.k_prime = 20, .deadline_ms = 50.0};
@@ -244,7 +257,7 @@ TEST(RemoteDeadlineTest, InjectedDelayTripsTheDeadlineAtTheGather) {
 TEST(RemoteCancelTest, CancelAbortsTheRemoteScanWithZeroProgress) {
   const Dataset ds = MakeData(300, 2, /*seed=*/27);
   Loopback lb(IndexKind::kBruteForce, 2, 1, ds, 27);
-  lb.server->set_scan_delay_ms(4000);
+  lb.DelayEveryScan(4000);
 
   const std::vector<QueryToken> tokens = MakeTokens(*lb.owner, ds, 39);
   std::atomic<bool> cancel{false};
@@ -304,7 +317,7 @@ TEST(RemoteHedgingTest, DelayedReplicaIsHedgedOverTheWire) {
   Loopback lb(IndexKind::kBruteForce, 2, /*num_replicas=*/2, ds, 31);
   // Replica (0,0) is a straggler on the server side; the gather only sees
   // the latency.
-  lb.backend->sharded_server_mutable().SetReplicaDelayMs(0, 0, 500);
+  lb.faults.Cell(0, 0)->delay_ms = 500;
 
   const std::vector<QueryToken> tokens = MakeTokens(*lb.owner, ds, 43);
   const SearchSettings settings{.k_prime = 20};
@@ -747,7 +760,7 @@ TEST(RemotePoolTest, ZeroPoolSizeIsRejected) {
 TEST(RemotePoolTest, CancelAbortsTheRemoteScanThroughThePool) {
   const Dataset ds = MakeData(300, 2, /*seed=*/57);
   Loopback lb(IndexKind::kBruteForce, 2, 1, ds, 57, /*pool_size=*/4);
-  lb.server->set_scan_delay_ms(4000);
+  lb.DelayEveryScan(4000);
 
   const std::vector<QueryToken> tokens = MakeTokens(*lb.owner, ds, 59);
   std::atomic<bool> cancel{false};
@@ -797,7 +810,7 @@ TEST(RemotePoolTest, FailoverAndDeadlineSurviveThePool) {
     EXPECT_FALSE(r->partial);
   }
 
-  lb.server->set_scan_delay_ms(2000);
+  lb.DelayEveryScan(2000);
   auto late = lb.remote->Search(
       tokens.front(), 5, SearchSettings{.k_prime = 20, .deadline_ms = 50.0});
   ASSERT_FALSE(late.ok());

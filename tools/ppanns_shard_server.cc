@@ -23,6 +23,7 @@
 #include "core/ppanns_service.h"
 #include "core/sharded_database.h"
 #include "net/auth.h"
+#include "net/fault_injecting_transport.h"
 #include "net/shard_server.h"
 
 namespace {
@@ -87,7 +88,7 @@ int Usage() {
       "  --shards  comma-separated shard ids this endpoint serves\n"
       "            (default: all shards in the package)\n"
       "  --delay   straggler injection: replica (S,R) sleeps MS ms per scan\n"
-      "            (cancellable mid-sleep, like the in-process delay knob)\n"
+      "            (cancellable mid-sleep by CANCEL frames and deadlines)\n"
       "  --wal-dir write-ahead log directory: surviving records are replayed\n"
       "            against the package on startup, then every remote\n"
       "            Insert/Delete appends before it applies — a kill -9'd\n"
@@ -160,23 +161,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "db: %s\n", db.status().ToString().c_str());
     return 1;
   }
-  // The facade wraps the sharded server so remote mutations get validation
-  // and (with --wal-dir) append-before-apply durability, exactly like a
-  // local caller's.
-  PpannsService service(ShardedCloudServer(std::move(*db)));
-
-  // Fault/straggler injection, applied before the listener opens so every
-  // request observes it.
-  for (const std::string& item : SplitComma(args.GetString("delay"))) {
+  // Straggler injection: every --delay entry decorates its replica slot's
+  // transport, so the delay runs inside each scan on that slot (cancellable
+  // by CANCEL frames and the rebased deadline) from the first request on.
+  FaultPlan faults;
+  const std::vector<std::string> delays = SplitComma(args.GetString("delay"));
+  for (const std::string& item : delays) {
     auto f = ParseColonTuple(item, 3, "delay");
-    if (f[0] >= service.num_shards() || f[1] >= service.num_replicas()) {
+    if (f[0] >= db->num_shards() || f[1] >= db->replication_factor()) {
       std::fprintf(stderr, "--delay: replica (%zu,%zu) out of range\n", f[0],
                    f[1]);
       return 2;
     }
-    service.sharded_server_mutable().SetReplicaDelayMs(f[0], f[1],
-                                                       static_cast<int>(f[2]));
+    faults.Cell(f[0], f[1])->delay_ms = static_cast<int>(f[2]);
   }
+  // The facade wraps the sharded server so remote mutations get validation
+  // and (with --wal-dir) append-before-apply durability, exactly like a
+  // local caller's.
+  PpannsService service(ShardedCloudServer(
+      std::move(*db),
+      delays.empty() ? TransportDecorator{} : faults.Decorator()));
+
   std::vector<std::uint32_t> served;
   for (const std::string& item : SplitComma(args.GetString("shards"))) {
     auto f = ParseColonTuple(item, 1, "shards");
