@@ -1,17 +1,19 @@
 // Ablation bench for this implementation's design choices:
 //  (a) graph built over SAP ciphertexts vs plaintext vectors (privacy/
 //      accuracy cost of the Section V-A choice),
-//  (b) comparison-heap refine (O(k' log k) DCE calls) vs naive full sort of
-//      the candidate set (O(k' log k') calls),
+//  (b) sorted k-buffer refine (O(k' log k) DCE calls) vs naive full sort
+//      of the candidate set (O(k' log k') calls), both under the refine's
+//      canonical comparator,
 //  (c) DCE key matrices from the conditioned Q*D construction vs raw
 //      Gaussian LU inverses (numerical robustness on near-tie comparisons).
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
-#include "core/comparison_heap.h"
+#include "core/sorted_k_buffer.h"
 #include "eval/metrics.h"
 
 namespace {
@@ -51,7 +53,7 @@ void AblateGraphSubstrate() {
 }
 
 void AblateRefineStrategy() {
-  std::printf("--- (b) comparison-heap refine vs full-sort refine ---\n");
+  std::printf("--- (b) sorted k-buffer refine vs full-sort refine ---\n");
   const std::size_t k = 10;
   BenchSystem sys = BuildSystem(SyntheticKind::kDeepLike,
                                 DefaultN(SyntheticKind::kDeepLike), DefaultQ(),
@@ -61,7 +63,7 @@ void AblateRefineStrategy() {
   std::printf("%-14s %10s %14s\n", "strategy", "Ratio_k", "DCE comps/query");
   for (std::size_t ratio : {8u, 32u, 128u}) {
     const std::size_t k_prime = ratio * k;
-    double heap_comps = 0.0, sort_comps = 0.0;
+    double buffer_comps = 0.0, sort_comps = 0.0;
     for (std::size_t i = 0; i < sys.tokens.size(); ++i) {
       const QueryToken& token = sys.tokens[i];
       SearchSettings settings{
@@ -70,31 +72,35 @@ void AblateRefineStrategy() {
           .refine = false};
       SearchResult filter = sys.server->Search(token, k_prime, settings);
 
-      // Heap refine (what the scheme does).
-      std::size_t heap_count = 0;
-      ComparisonHeap heap(k, [&](VectorId a, VectorId b) {
-        ++heap_count;
-        return DceScheme::Closer(dce_cts[a], dce_cts[b], token.trapdoor);
+      // Both strategies rank candidate positions under the refine's
+      // canonical comparator. The raw DCE sign is not antisymmetric at an
+      // exact plaintext tie, which std::sort's strict weak order forbids.
+      const std::vector<VectorId>& cand = filter.ids;
+      std::size_t count = 0;
+      const CanonicalCloser closer([&](VectorId o, VectorId p) {
+        ++count;
+        return DceScheme::DistanceComp(dce_cts[cand[o]], dce_cts[cand[p]],
+                                       token.trapdoor);
       });
-      for (VectorId id : filter.ids) heap.Offer(id);
-      heap.ExtractSorted();
-      heap_comps += heap_count;
+      std::vector<VectorId> positions(cand.size());
+      std::iota(positions.begin(), positions.end(), VectorId{0});
+
+      // Sorted k-buffer refine (what the scheme does).
+      SortedKBuffer buffer(k, closer);
+      buffer.OfferBatch(positions.data(), positions.size());
+      buffer_comps += count;
 
       // Naive refine: comparison-sort all k' candidates.
-      std::size_t sort_count = 0;
-      std::vector<VectorId> ids = filter.ids;
-      std::sort(ids.begin(), ids.end(), [&](VectorId a, VectorId b) {
-        ++sort_count;
-        return DceScheme::Closer(dce_cts[a], dce_cts[b], token.trapdoor);
-      });
-      sort_comps += sort_count;
+      count = 0;
+      std::sort(positions.begin(), positions.end(), closer);
+      sort_comps += count;
     }
-    std::printf("%-14s %10zu %14.1f\n", "heap", ratio,
-                heap_comps / sys.tokens.size());
+    std::printf("%-14s %10zu %14.1f\n", "k-buffer", ratio,
+                buffer_comps / sys.tokens.size());
     std::printf("%-14s %10zu %14.1f\n", "full-sort", ratio,
                 sort_comps / sys.tokens.size());
   }
-  std::printf("takeaway: the heap does O(k' log k) comparisons vs the "
+  std::printf("takeaway: the k-buffer does O(k' log k) comparisons vs the "
               "sort's O(k' log k'); the gap widens with Ratio_k.\n\n");
 }
 

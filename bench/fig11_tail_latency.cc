@@ -14,13 +14,6 @@
 //                   aborts mid-scan through the cancellation token in its
 //                   SearchContext. p99 should sit near hedge_ms + healthy
 //                   latency, far below the injected delay.
-//   async-prescan — the same hedged run with mid-scan cancellation disabled
-//                   (AsyncOptions::mid_scan_cancel = false): a loser checks
-//                   the claim only when its work item starts, like a remote
-//                   server that cannot be recalled, and then runs its full
-//                   delay + scan. Identical winner ids and recall; the
-//                   wasted_nodes / wasted_scans delta against async-hedged
-//                   is what mid-scan abort buys back in pool capacity.
 //   failover      — the slow replica is marked down instead of slow: the
 //                   scatter never touches it. The floor the hedge aims for,
 //                   and a check that failover ids match the healthy run.
@@ -35,8 +28,8 @@
 // tail-latency trajectory is machine-readable across PRs. The wasted-work
 // fields (wasted_nodes, wasted_scans: loser work observed by the cluster's
 // cumulative cancellation counters across the mode's run, plus
-// nodes_visited: winner work summed over queries) make the mid-scan-abort
-// win part of the BENCH_* trajectory.
+// nodes_visited: winner work summed over queries) keep the hedge losers'
+// wasted work, ~0 with mid-scan abort, in the BENCH_* trajectory.
 //
 // Knobs: PPANNS_BENCH_N / PPANNS_BENCH_Q (bench_util), PPANNS_BENCH_DELAY_MS
 // (injected straggler delay), PPANNS_BENCH_HEDGE_MS (hedging deadline).
@@ -198,17 +191,12 @@ int main() {
   run("healthy-sync", false, async);
   run("healthy-async", true, async);
 
-  // Inject the straggler: one replica of shard 0 answers late. Mid-scan
-  // cancellation (the default) against the pre-scan-only baseline: same
-  // winner ids, same recall — the delta is the losers' wasted work.
+  // Inject the straggler: one replica of shard 0 answers late. The hedged
+  // run must return the barrier's winner ids.
   faults.Cell(0, 0)->delay_ms = static_cast<int>(delay_ms);
-  run("straggler-sync", false, async);
-  const TailPoint midscan = run("straggler-async", true, async);
-  AsyncOptions prescan = async;
-  prescan.mid_scan_cancel = false;
-  const TailPoint prescan_point =
-      run("straggler-async-prescan", true, prescan);
-  PPANNS_CHECK(midscan.ids == prescan_point.ids);  // identical winner ids
+  const TailPoint sync_point = run("straggler-sync", false, async);
+  const TailPoint hedged_point = run("straggler-async", true, async);
+  PPANNS_CHECK(sync_point.ids == hedged_point.ids);  // identical winner ids
 
   // Replica loss instead of slowness: the scatter never touches the dead
   // replica, so this is the latency floor hedging converges to.
@@ -220,10 +208,10 @@ int main() {
   std::printf(
       "\nexpected shape: straggler-sync p50/p99 ~= %.0f ms (every query waits "
       "for the slow replica); straggler-async p99 well below it (the hedge "
-      "re-dispatches after %.1f ms and the healthy replica wins); "
-      "straggler-async wasted_nodes well below straggler-async-prescan at "
-      "identical winner ids (the loser aborts mid-scan instead of finishing "
-      "a scan nobody reads); failover matches the healthy floor; recall "
+      "re-dispatches after %.1f ms and the healthy replica wins) at "
+      "identical winner ids, with straggler-async wasted_nodes ~= 0 (the "
+      "loser aborts mid-scan instead of finishing a scan nobody reads); "
+      "failover matches the healthy floor; recall "
       "identical everywhere (replicas are byte-identical, the merge budget "
       "is unchanged).\n",
       delay_ms, hedge_ms);

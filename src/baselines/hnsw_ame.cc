@@ -1,7 +1,7 @@
 #include "baselines/hnsw_ame.h"
 
 #include "common/timer.h"
-#include "core/comparison_heap.h"
+#include "core/sorted_k_buffer.h"
 
 namespace ppanns {
 
@@ -59,13 +59,17 @@ SearchResult HnswAmeSystem::Search(const AmeQueryToken& token, std::size_t k,
   }
 
   Timer refine_timer;
-  std::size_t* comparisons = &result.counters.dce_comparisons;
-  ComparisonHeap heap(k, [this, &token, comparisons](VectorId a, VectorId b) {
-    ++*comparisons;
-    return AmeScheme::Closer(ame_cts_[a], ame_cts_[b], token.trapdoor);
-  });
-  for (const Neighbor& cand : candidates) heap.Offer(cand.id);
-  result.ids = heap.ExtractSorted();
+  SortedKBuffer buffer(
+      k, CanonicalCloser([&](VectorId o, VectorId p) {
+        ++result.counters.dce_comparisons;
+        return AmeScheme::DistanceComp(ame_cts_[candidates[o].id],
+                                       ame_cts_[candidates[p].id],
+                                       token.trapdoor);
+      }));
+  for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
+    buffer.Offer(static_cast<VectorId>(pos));
+  }
+  for (VectorId pos : buffer.sorted()) result.ids.push_back(candidates[pos].id);
   result.counters.refine_seconds = refine_timer.ElapsedSeconds();
   return result;
 }

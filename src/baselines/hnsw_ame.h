@@ -38,7 +38,7 @@ class HnswAmeSystem {
   /// User-side query encryption.
   AmeQueryToken EncryptQuery(const float* q);
 
-  /// Server-side filter-and-refine with AME comparisons in the refine heap.
+  /// Server-side filter-and-refine with AME comparisons in the refine buffer.
   SearchResult Search(const AmeQueryToken& token, std::size_t k,
                       const SearchSettings& settings = {}) const;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/timer.h"
-#include "core/comparison_heap.h"
+#include "core/sorted_k_buffer.h"
 
 namespace ppanns {
 
@@ -24,15 +24,15 @@ void RefineCandidates(std::span<const Neighbor> candidates,
     return;
   }
 
-  // Exact DCE comparisons. The heap holds candidate positions, so the
-  // comparator indexes `dce` directly; ComparisonHeap only ever calls it, so
-  // the ids match a heap over the candidate ids themselves.
+  // Exact DCE comparisons under the canonical order over candidate
+  // positions (see the contract in cloud_server.h).
   Timer refine_timer;
   std::size_t* comparisons = &result->counters.dce_comparisons;
-  ComparisonHeap heap(k, [dce, &token, comparisons](VectorId a, VectorId b) {
-    ++*comparisons;
-    return DceScheme::Closer(*dce[a], *dce[b], token.trapdoor);
-  });
+  SortedKBuffer buffer(
+      k, CanonicalCloser([dce, &token, comparisons](VectorId o, VectorId p) {
+        ++*comparisons;
+        return DceScheme::DistanceComp(*dce[o], *dce[p], token.trapdoor);
+      }));
   // Blocked offers: gather a block of candidates and prefetch their DCE
   // ciphertext payloads, then run the comparison-heavy offers over warm
   // lines. Offers apply in candidate order, so ids match the unblocked loop.
@@ -52,11 +52,12 @@ void RefineCandidates(std::span<const Neighbor> candidates,
       PrefetchRead(dce[ci]->data.data());
       block[bn++] = static_cast<VectorId>(ci);
     }
-    heap.OfferBatch(block, bn);
+    buffer.OfferBatch(block, bn);
   }
-  const std::vector<VectorId> positions = heap.ExtractSorted();
-  result->ids.reserve(positions.size());
-  for (VectorId pos : positions) result->ids.push_back(candidates[pos].id);
+  result->ids.reserve(buffer.size());
+  for (VectorId pos : buffer.sorted()) {
+    result->ids.push_back(candidates[pos].id);
+  }
   result->counters.refine_seconds = refine_timer.ElapsedSeconds();
   ctx->stats.dce_comparisons += result->counters.dce_comparisons;
   FillCounters(&result->counters, *ctx);

@@ -128,12 +128,21 @@ struct SearchResult {
 
 /// The refine phase of Algorithm 2 (lines 2-9), shared by every server
 /// topology. `candidates` is the SAP-ranked filter output (already cut to
-/// k'); `dce[i]` is candidate i's DCE ciphertext, resolved by the caller
-/// (unused when settings.refine is off). Streams the candidates through one
-/// comparison-only heap over candidate positions, probing `ctx` between
-/// offers, and fills result->ids, filter_candidates, dce_comparisons,
-/// refine_seconds and the context-derived counters. With refinement off the
-/// first k candidates are the answer.
+/// k') in (SAP distance, global id) order, which every topology reproduces;
+/// `dce[i]` is candidate i's DCE ciphertext, resolved by the caller (unused
+/// when settings.refine is off). Streams the candidates through one
+/// SortedKBuffer over candidate positions, probing `ctx` between offers, and
+/// fills result->ids, filter_candidates, dce_comparisons, refine_seconds and
+/// the context-derived counters. With refinement off the first k candidates
+/// are the answer.
+///
+/// Contract: the answer is the first k candidates in the order of
+/// CanonicalCloser over these positions — Z(o, p) evaluated with the earlier
+/// position as `o` — whatever selection algorithm computes it. An exact
+/// plaintext tie between two candidates therefore resolves from the
+/// candidate list alone, never from the sequence of comparisons. (Three or
+/// more equal plaintexts can make the order cyclic; the answer is then the
+/// SortedKBuffer's.)
 void RefineCandidates(std::span<const Neighbor> candidates,
                       std::span<const DceCiphertext* const> dce,
                       const QueryToken& token, std::size_t k,
@@ -153,8 +162,9 @@ class CloudServer {
 
   /// Algorithm 2: filter (k'-ANNS over SAP ciphertexts on the configured
   /// SecureFilterIndex backend) + refine (exact DCE comparisons through a
-  /// comparison-only max-heap). Thread-safe: concurrent const searches are
-  /// allowed (PpannsService::SearchBatch relies on this).
+  /// comparison-only sorted k-buffer, RefineCandidates). Thread-safe:
+  /// concurrent const searches are allowed (PpannsService::SearchBatch
+  /// relies on this).
   ///
   /// The `ctx` overload is the cancellable execution path: the context
   /// (caller-owned, e.g. created by PpannsService) is threaded into the
@@ -177,6 +187,18 @@ class CloudServer {
   }
   Status Delete(VectorId id);
 
+  std::size_t size() const { return db_.index->size(); }
+  const SecureFilterIndex& index() const { return *db_.index; }
+  const std::vector<DceCiphertext>& dce_ciphertexts() const { return db_.dce; }
+
+  /// Total resident bytes of the outsourced package (space accounting).
+  std::size_t StorageBytes() const;
+
+  /// Snapshots the current package (including maintenance mutations) in the
+  /// same format EncryptedDatabase::Serialize writes.
+  void SerializeDatabase(BinaryWriter* out) const { db_.Serialize(out); }
+
+ private:
   /// Insert split in two (SecureFilterIndex::PlanInsert/ApplyInsert): the
   /// read-only, deterministic plan does all of the linking work, and the
   /// apply stores the SAP row with the planned lists and appends the DCE
@@ -197,18 +219,6 @@ class CloudServer {
   }
   void ApplyDelete(const RemoveEdit& edit);
 
-  std::size_t size() const { return db_.index->size(); }
-  const SecureFilterIndex& index() const { return *db_.index; }
-  const std::vector<DceCiphertext>& dce_ciphertexts() const { return db_.dce; }
-
-  /// Total resident bytes of the outsourced package (space accounting).
-  std::size_t StorageBytes() const;
-
-  /// Snapshots the current package (including maintenance mutations) in the
-  /// same format EncryptedDatabase::Serialize writes.
-  void SerializeDatabase(BinaryWriter* out) const { db_.Serialize(out); }
-
- private:
   EncryptedDatabase db_;
 };
 

@@ -836,7 +836,7 @@ void ShardedCloudServer::MergeAndRefine(
             [](const auto& a, const auto& b) { return a.first < b.first; });
   if (merged.size() > k_prime) merged.resize(k_prime);
 
-  // ---- Refine: one DCE ComparisonHeap over the merged budget. A local
+  // ---- Refine: one DCE sorted k-buffer over the merged budget. A local
   // candidate's ciphertext is read in place from its shard.
   std::vector<Neighbor> candidates;
   std::vector<const DceCiphertext*> dce;
@@ -991,11 +991,10 @@ ShardedCloudServer::RunHedgedScatter(
   // answer slots — and the pinned ShardSet, so a compaction swap mid-query
   // can never free a group a straggler still reads.
   struct ItemSlot {
-    /// Raised by the first dispatch to finish — and, with mid_scan_cancel,
-    /// registered as a cancellation source in every later dispatch's
-    /// context, so losers abort mid-scan at their next probe. A remote
-    /// loser's probe fires inside the RPC wait, turning into one CANCEL
-    /// frame on the wire.
+    /// Raised by the first dispatch to finish — and registered as a
+    /// cancellation source in every dispatch's context, so losers abort
+    /// mid-scan at their next probe. A remote loser's probe fires inside
+    /// the RPC wait, turning into one CANCEL frame on the wire.
     std::atomic<bool> claimed{false};
     bool answered = false;     // guarded by Coordinator::mu
     bool served = false;       // a dispatch answered, guarded by mu
@@ -1125,7 +1124,7 @@ ShardedCloudServer::RunHedgedScatter(
 
   const auto make_dispatch = [&](std::size_t item, std::size_t r) {
     SearchContext ctx = query_ctx[item / num_shards]->Child();
-    if (async.mid_scan_cancel) ctx.AddCancelFlag(&co->slots[item].claimed);
+    ctx.AddCancelFlag(&co->slots[item].claimed);
     const std::size_t s = item % num_shards;
     ReplicaState* const state = &co->set->groups[s]->state[r];
     state->inflight.fetch_add(1, std::memory_order_acq_rel);

@@ -7,7 +7,7 @@
 // ThreadPool), the per-shard candidates merge into the global SAP-top-k'
 // (the same ciphertext-distance ranking the filter phase already exposes to
 // the server, so no new leakage class), and exactly those k' candidates
-// stream through a single DCE ComparisonHeap. The refine phase therefore
+// stream through a single DCE sorted k-buffer. The refine phase therefore
 // spends the identical candidate budget as an unsharded server — with the
 // exact (brute-force) filter backend and the same SAP layer (a sharded
 // build's SAP ciphertexts match EncryptAndIndexParallel's row for row) the
@@ -85,14 +85,6 @@ struct AsyncOptions {
   /// query with FailedPrecondition. A query is always failed when *no* shard
   /// has a live replica.
   bool allow_partial = true;
-  /// Thread the hedge claim flag into every work item's SearchContext so a
-  /// lost hedge aborts *mid-scan* (and mid-injected-delay) at its next
-  /// cancellation probe. False restores pre-scan-only cancellation — the
-  /// loser checks the claim once when its work item starts and then runs to
-  /// completion, like a remote server that cannot be recalled — kept as the
-  /// measurable baseline for bench/fig11's wasted-work comparison. Winner
-  /// ids are identical either way; only the losers' wasted work differs.
-  bool mid_scan_cancel = true;
 };
 
 /// The sharded, replicated serving tier: scatter-gathers Algorithm 2 across
@@ -190,7 +182,7 @@ class ShardedCloudServer {
   ShardedCloudServer(ShardedCloudServer&&) noexcept;
   ShardedCloudServer& operator=(ShardedCloudServer&&) noexcept;
 
-  /// Algorithm 2 over every shard, merged through one DCE heap. Synchronous:
+  /// Algorithm 2 over every shard, merged through one DCE refine. Synchronous:
   /// the scatter still fans across the pool (inline inside a batch worker)
   /// but the gather is a barrier — one slow replica stalls the query, which
   /// is exactly what SearchAsync exists to avoid. Dispatch is load-aware:
@@ -214,11 +206,11 @@ class ShardedCloudServer {
   /// The asynchronous serving path: fans (query, shard-replica) work items
   /// across the global ThreadPool, hedges shards that miss
   /// `async.hedge_ms` onto their next-best live replica (first answer
-  /// wins), and merges through the same DCE heap as Search. Hedge
+  /// wins), and merges through the same DCE refine as Search. Hedge
   /// dispatches run inline on the gather thread — which was otherwise
   /// idle-waiting — so a hedge makes progress even when every pool worker
   /// is stuck behind a straggler. A lost hedge aborts mid-scan through the
-  /// claim flag in its SearchContext (AsyncOptions::mid_scan_cancel).
+  /// claim flag in its SearchContext.
   /// Results are identical to Search on a healthy cluster — replicas are
   /// identical, so *which* replica answers never changes the ids.
   /// Degrades per AsyncOptions when a shard does not answer (a partial
@@ -484,9 +476,9 @@ class ShardedCloudServer {
   /// The hedged claim-flag dispatch of the engine. Dispatches every item to
   /// its load-aware replica on the pool, escalates items that miss
   /// async.hedge_ms to the shard's next-best live replica *inline on the
-  /// gather thread*, and aborts losers mid-scan via the claim flag when
-  /// async.mid_scan_cancel is set. A failed dispatch settles its item only
-  /// as the item's last running dispatch. The coordinator keeps `set`
+  /// gather thread*, and aborts losers mid-scan via the claim flag. A
+  /// failed dispatch settles its item only as the item's last running
+  /// dispatch. The coordinator keeps `set`
   /// pinned until the last loser finishes, so a compaction swap mid-query
   /// can never free state a straggler still reads. Every dispatch runs on a Child of its
   /// query's context; the gather gives up at the earliest query deadline.

@@ -65,11 +65,6 @@ class AmeScheme {
   static double DistanceComp(const AmeCiphertext& o, const AmeCiphertext& p,
                              const AmeTrapdoor& tq);
 
-  static bool Closer(const AmeCiphertext& o, const AmeCiphertext& p,
-                     const AmeTrapdoor& tq) {
-    return DistanceComp(o, p, tq) < 0.0;
-  }
-
   std::size_t dim() const { return dim_; }
   /// Lifted dimension 2d+6.
   std::size_t lifted_dim() const { return 2 * dim_ + 6; }

@@ -574,7 +574,9 @@ TEST_F(AsyncServingTest, HedgedStragglerFinishesEarlyWithIdenticalIds) {
     // need to: load-aware dispatch sees the loser still occupying the slow
     // replica and routes straight to the idle one — either way every query
     // must beat the 400 ms barrier.
-    if (i == 0) EXPECT_GE(r->counters.hedged_requests, 1u);
+    if (i == 0) {
+      EXPECT_GE(r->counters.hedged_requests, 1u);
+    }
     total_hedged += r->counters.hedged_requests;
     EXPECT_LT(async_seconds, 0.35)
         << "hedging should beat the 400 ms straggler";
@@ -712,9 +714,9 @@ TEST_F(AsyncServingTest, LosingHedgeAbortsMidScanAndIdsMatch) {
   ShardedCloudServer& cluster = service_->sharded_server_mutable();
   faults_.Cell(0, 0)->delay_ms = 200;
 
-  // Mid-scan cancellation (default): the loser wakes out of its injected
-  // delay at the next probe after the winner claims, so it never scans —
-  // zero wasted nodes, identical winner ids.
+  // Mid-scan cancellation: the loser wakes out of its injected delay at the
+  // next probe after the winner claims, so it never scans — zero wasted
+  // nodes, identical winner ids.
   const std::size_t wasted_before = cluster.CancelledWorkNodes();
   auto mid = service_->SearchAsync(tokens_[0], k, {},
                                    AsyncOptions{.hedge_ms = 5.0});
@@ -725,23 +727,6 @@ TEST_F(AsyncServingTest, LosingHedgeAbortsMidScanAndIdsMatch) {
       cluster.CancelledWorkNodes() - wasted_before;
   EXPECT_EQ(wasted_mid, 0u)
       << "a mid-scan-cancelled loser must not burn scan work";
-
-  // Pre-scan-only cancellation (the PR-3 baseline, kept for comparison):
-  // the loser checked the claim before its delay and cannot be recalled —
-  // it runs the full scan and loses, wasting a whole shard's worth of rows.
-  const std::size_t scans_before = cluster.CancelledScans();
-  auto pre = service_->SearchAsync(
-      tokens_[1], k, {},
-      AsyncOptions{.hedge_ms = 5.0, .mid_scan_cancel = false});
-  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
-  EXPECT_EQ(pre->ids, healthy[1]) << "winner ids must not depend on the "
-                                     "cancellation mode";
-  EXPECT_GE(pre->counters.hedged_requests, 1u);
-  const std::size_t wasted_pre =
-      cluster.CancelledWorkNodes() - wasted_before - wasted_mid;
-  EXPECT_GT(wasted_pre, 0u) << "the pre-scan-only loser scans to completion";
-  EXPECT_GE(cluster.CancelledScans(), scans_before + 1);
-  EXPECT_GT(wasted_pre, wasted_mid);
 
   faults_.Cell(0, 0)->delay_ms = 0;
 }

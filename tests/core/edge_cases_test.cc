@@ -75,7 +75,7 @@ TEST(EdgeCaseTest, OneDimensionalVectors) {
 }
 
 TEST(EdgeCaseTest, DuplicateVectorsRefinedConsistently) {
-  // Many identical vectors: ties everywhere in the refine heap; result must
+  // Many identical vectors: ties everywhere in the refine; result must
   // still be k distinct ids, all of zero distance.
   auto owner = DataOwner::Create(4, SmallParams(7));
   ASSERT_TRUE(owner.ok());

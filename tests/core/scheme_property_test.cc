@@ -7,7 +7,7 @@
 //     every (dim, beta) combination.
 //  P2 (strict weak ordering): the DCE comparator induces a strict weak
 //     ordering over any candidate set (irreflexive, asymmetric, transitive
-//     on sampled triples) — required for the comparison heap's correctness.
+//     on sampled triples) — required for the refine buffer's correctness.
 
 #include <algorithm>
 #include <set>
@@ -102,10 +102,11 @@ TEST_P(SchemePropertyTest, DceComparatorIsStrictWeakOrdering) {
 
   // Note on reflexivity: comparing an element with itself yields Z = 0 up
   // to floating-point residue (a near-zero coin flip). Algorithm 2 never
-  // performs a self-comparison (candidate ids are distinct, heap parents
-  // and children differ), and dce_test's SelfComparisonNearZero covers the
-  // |Z| ~ 0 behaviour. The load-bearing properties here are asymmetry and
-  // transitivity over distinct points, whose distances are well separated.
+  // performs a self-comparison (candidate positions are distinct, and
+  // CanonicalCloser answers a == b without Z), and dce_test's
+  // SelfComparisonNearZero covers the |Z| ~ 0 behaviour. The load-bearing
+  // properties here are asymmetry and transitivity over distinct points,
+  // whose distances are well separated.
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
       EXPECT_NE(closer(a, b), closer(b, a)) << a << "," << b;

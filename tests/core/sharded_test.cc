@@ -104,8 +104,8 @@ TEST_P(ShardedEquivalenceTest, BruteShardingMatchesUnshardedExactly) {
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     ASSERT_TRUE(s.ok()) << s.status().ToString();
     EXPECT_EQ(s->ids, f->ids);
-    // Equal total candidate budget: the merged list feeding the DCE heap has
-    // the same length as the unsharded filter output.
+    // Equal total candidate budget: the merged list feeding the DCE refine
+    // has the same length as the unsharded filter output.
     EXPECT_EQ(s->counters.filter_candidates, f->counters.filter_candidates);
     flat_ids.push_back(f->ids);
     sharded_ids.push_back(s->ids);
