@@ -54,8 +54,8 @@ struct Point {
 // filled with the result ids when non-null.
 Point RunPass(const BruteForceIndex& index, const FloatMatrix& queries,
               std::size_t k, std::vector<std::vector<VectorId>>* got) {
-  // A stats-only context: collects per-stage filter/refine wall times
-  // without forcing the guarded scan path.
+  // A stats-only context: collects per-stage filter/refine wall times. It
+  // runs the same flat scan as every other search.
   SearchContext ctx;
   Point p;
   Timer timer;

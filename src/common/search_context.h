@@ -48,12 +48,13 @@ struct SearchStats {
   std::size_t distance_computations = 0;
   /// Trapdoor comparisons spent in the DCE refine phase.
   std::size_t dce_comparisons = 0;
-  /// Wall time the flat backends spent in the filter-stage scan (the float
-  /// or int8 code scan plus shortlist selection). Local profiling only —
-  /// these do not travel over the shard RPC wire.
+  /// Wall time the flat backends (brute force, IVF, LSH) spent in the
+  /// filter-stage scan: the float or int8 code scan plus selection, and
+  /// IVF's centroid ranking / LSH's bucket lookup. HNSW leaves it 0. Local
+  /// profiling only — these do not travel over the shard RPC wire.
   double filter_seconds = 0.0;
-  /// Wall time spent re-ranking the SQ shortlist with exact distances; zero
-  /// on the non-SQ paths.
+  /// Wall time a flat backend spent re-ranking the SQ shortlist with exact
+  /// distances; 0 on the float tier and for HNSW.
   double refine_seconds = 0.0;
 
   void Merge(const SearchStats& other) {
@@ -134,17 +135,6 @@ class SearchContext {
 
   bool stopped() const { return early_exit_ != EarlyExit::kNone; }
   EarlyExit early_exit() const { return early_exit_; }
-
-  /// True when this context can never stop a scan — no cancellation flags,
-  /// no deadline, no node budget. Such a context only collects stats, so
-  /// hot loops are free to take their unprobed fast paths with it.
-  bool OnlyCollectsStats() const {
-    if (has_deadline_ || node_budget_ > 0) return false;
-    for (const std::atomic<bool>* flag : flags_) {
-      if (flag != nullptr) return false;
-    }
-    return true;
-  }
 
   /// Like ShouldStop but without the node budget: the refine phase still
   /// runs over the (possibly truncated) candidate set when the filter

@@ -1,7 +1,6 @@
 #include "index/brute_force.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/thread_pool.h"
 #include "index/top_k.h"
@@ -49,228 +48,40 @@ std::vector<std::vector<Neighbor>> BruteForceKnnBatch(const FloatMatrix& data,
 }
 
 BruteForceIndex::BruteForceIndex(std::size_t dim, SqParams sq)
-    : dim_(dim), sq_params_(sq), data_(0, dim) {
+    : rows_("BruteForce", dim, sq) {
   PPANNS_CHECK(dim > 0);
 }
 
 VectorId BruteForceIndex::Add(const float* v) {
-  deleted_.push_back(0);
-  const VectorId id = data_.Append(v);
-  if (sq_params_.enabled) {
-    if (sq_.trained()) {
-      codes_.resize(codes_.size() + dim_);
-      sq_.Encode(v, codes_.data() + static_cast<std::size_t>(id) * dim_);
-    } else if (data_.size() >= std::max<std::size_t>(sq_params_.train_min, 1)) {
-      TrainSq();
-    }
+  const VectorId id = rows_.Append(v);
+  if (rows_.capacity() >=
+      std::max<std::size_t>(rows_.sq_params().train_min, 1)) {
+    rows_.TrainSq(rows_.data());  // fits over everything added so far
   }
   return id;
 }
 
 void BruteForceIndex::AddBatch(const FloatMatrix& batch) {
-  PPANNS_CHECK(batch.dim() == dim_);
+  PPANNS_CHECK(batch.dim() == dim());
   for (std::size_t i = 0; i < batch.size(); ++i) Add(batch.row(i));
 }
 
-void BruteForceIndex::TrainSq() {
-  sq_.Train(data_);
-  codes_.resize(data_.size() * dim_);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    sq_.Encode(data_.row(i), codes_.data() + i * dim_);
-  }
-}
-
-Status BruteForceIndex::Remove(VectorId id) {
-  if (id >= data_.size()) return Status::InvalidArgument("BruteForce: bad id");
-  if (deleted_[id]) return Status::NotFound("BruteForce: already deleted");
-  deleted_[id] = 1;
-  ++num_deleted_;
-  return Status::OK();
-}
-
-namespace {
-inline double SecondsSince(SearchContext::Clock::time_point t0) {
-  return std::chrono::duration<double>(SearchContext::Clock::now() - t0)
-      .count();
-}
-}  // namespace
+Status BruteForceIndex::Remove(VectorId id) { return rows_.Tombstone(id); }
 
 std::vector<Neighbor> BruteForceIndex::Search(const float* query, std::size_t k,
                                               SearchContext* ctx) const {
-  if (sq_.trained()) return SearchSq(query, k, ctx);
-
-  const auto t0 = ctx != nullptr ? SearchContext::Clock::now()
-                                 : SearchContext::Clock::time_point{};
-  TopK top(k);
-
-  // Fast path: no deletions and nothing that could stop the scan means every
-  // row is scored in order, so the gather loop (deleted check, probe,
-  // per-row prefetch) collapses to arithmetic row pointers straight into the
-  // batch kernel. Offers happen in the same order as the guarded path, so
-  // ids match.
-  if (num_deleted_ == 0 && (ctx == nullptr || ctx->OnlyCollectsStats())) {
-    const float* rows[kKernelBlock];
-    float dists[kKernelBlock];
-    float limit = top.Threshold();
-    for (std::size_t i = 0; i < data_.size(); i += kKernelBlock) {
-      const std::size_t bn = std::min(kKernelBlock, data_.size() - i);
-      for (std::size_t j = 0; j < bn; ++j) rows[j] = data_.row(i + j);
-      L2Batch(query, rows, bn, dim_, dists);
-      for (std::size_t j = 0; j < bn; ++j) {
-        // Offer rejects exactly when dist >= threshold; skipping those calls
-        // leaves the heap unchanged.
-        if (dists[j] < limit) {
-          top.Offer(Neighbor{static_cast<VectorId>(i + j), dists[j]});
-          limit = top.Threshold();
-        }
-      }
-    }
-    if (ctx != nullptr) {
-      ctx->stats.nodes_visited += data_.size();
-      ctx->stats.distance_computations += data_.size();
-      ctx->stats.filter_seconds += SecondsSince(t0);
-    }
-    return top.ExtractSorted();
-  }
-
-  CancelProbe probe(ctx);
-  std::size_t scanned = 0;
-  // Blocked scan: collect up to kKernelBlock live rows (prefetching them),
-  // score the block in one batched kernel call, offer in row order. The probe
-  // keeps row granularity — slot bn answers exactly the probe the unblocked
-  // loop would have asked for that row — so ids are unchanged.
-  VectorId ids[kKernelBlock];
-  const float* rows[kKernelBlock];
-  float dists[kKernelBlock];
-  std::size_t i = 0;
-  bool stopped = false;
-  while (i < data_.size() && !stopped) {
-    std::size_t bn = 0;
-    for (; i < data_.size() && bn < kKernelBlock; ++i) {
-      if (deleted_[i]) continue;
-      if (probe.ShouldStop(scanned + bn)) {
-        stopped = true;
-        break;
-      }
-      ids[bn] = static_cast<VectorId>(i);
-      rows[bn] = data_.row(i);
-      PrefetchRead(rows[bn]);
-      ++bn;
-    }
-    if (bn == 0) continue;
-    L2Batch(query, rows, bn, dim_, dists);
-    scanned += bn;
-    for (std::size_t j = 0; j < bn; ++j) top.Offer(Neighbor{ids[j], dists[j]});
-  }
-  if (ctx != nullptr) {
-    ctx->stats.nodes_visited += scanned;
-    ctx->stats.distance_computations += scanned;
-    ctx->stats.filter_seconds += SecondsSince(t0);
-  }
-  return top.ExtractSorted();
-}
-
-std::vector<Neighbor> BruteForceIndex::SearchSq(const float* query,
-                                                std::size_t k,
-                                                SearchContext* ctx) const {
-  const auto t0 = ctx != nullptr ? SearchContext::Clock::now()
-                                 : SearchContext::Clock::time_point{};
-  std::vector<std::int8_t> qcode(dim_);
-  sq_.Encode(query, qcode.data());
-
-  // Filter: scan the int8 code mirror, keeping an oversampled shortlist
-  // ranked by (int32 code distance, id).
-  SqShortlist shortlist_top(SqShortlistSize(sq_params_, k));
-  std::size_t scanned = 0;
-
-  if (num_deleted_ == 0 && (ctx == nullptr || ctx->OnlyCollectsStats())) {
-    // Fast path mirroring Search(): contiguous code scan with no per-row
-    // deleted/probe branches. Offer order matches the guarded path.
-    const std::int8_t* rows[kKernelBlock];
-    std::int32_t dists[kKernelBlock];
-    std::int32_t limit = shortlist_top.threshold();
-    for (std::size_t i = 0; i < data_.size(); i += kKernelBlock) {
-      const std::size_t bn = std::min(kKernelBlock, data_.size() - i);
-      for (std::size_t j = 0; j < bn; ++j) {
-        rows[j] = codes_.data() + (i + j) * dim_;
-      }
-      L2BatchInt8(qcode.data(), rows, bn, dim_, dists);
-      for (std::size_t j = 0; j < bn; ++j) {
-        // Offer rejects exactly when dist >= threshold; skipping those calls
-        // leaves the shortlist unchanged.
-        if (dists[j] < limit) {
-          shortlist_top.Offer(static_cast<VectorId>(i + j), dists[j]);
-          limit = shortlist_top.threshold();
-        }
-      }
-    }
-    scanned = data_.size();
-  } else {
-    CancelProbe probe(ctx);
-    VectorId ids[kKernelBlock];
-    const std::int8_t* rows[kKernelBlock];
-    std::int32_t dists[kKernelBlock];
-    std::size_t i = 0;
-    bool stopped = false;
-    while (i < data_.size() && !stopped) {
-      std::size_t bn = 0;
-      for (; i < data_.size() && bn < kKernelBlock; ++i) {
-        if (deleted_[i]) continue;
-        if (probe.ShouldStop(scanned + bn)) {
-          stopped = true;
-          break;
-        }
-        ids[bn] = static_cast<VectorId>(i);
-        rows[bn] = codes_.data() + i * dim_;
-        PrefetchRead(rows[bn]);
-        ++bn;
-      }
-      if (bn == 0) continue;
-      L2BatchInt8(qcode.data(), rows, bn, dim_, dists);
-      scanned += bn;
-      for (std::size_t j = 0; j < bn; ++j) {
-        // int32 rank keys: deterministic, and only used to pick the
-        // shortlist — the refine stage below restores exact float distances.
-        shortlist_top.Offer(ids[j], dists[j]);
-      }
-    }
-  }
-
-  const std::vector<VectorId> shortlist = shortlist_top.ExtractIds();
-  const auto t1 = ctx != nullptr ? SearchContext::Clock::now()
-                                 : SearchContext::Clock::time_point{};
-  std::vector<Neighbor> out = RefineExact(data_, query, shortlist, k);
-  if (ctx != nullptr) {
-    ctx->stats.nodes_visited += scanned;
-    ctx->stats.distance_computations += scanned + shortlist.size();
-    ctx->stats.filter_seconds +=
-        std::chrono::duration<double>(t1 - t0).count();
-    ctx->stats.refine_seconds += SecondsSince(t1);
-  }
-  return out;
-}
-
-std::size_t BruteForceIndex::StorageBytes() const {
-  return data_.data().size() * sizeof(float) + deleted_.size() + codes_.size();
+  FlatScan scan(rows_, query, k, ctx);
+  scan.ScanLive();
+  return scan.Finish();
 }
 
 void BruteForceIndex::Serialize(BinaryWriter* out) const {
   // Version 1 stays byte-identical for non-SQ indexes (replica byte-equality
   // is pinned by the sharded tests); the SQ sidecar bumps to version 2.
   out->Put<std::uint32_t>(0x50424649);  // "PBFI"
-  out->Put<std::uint32_t>(sq_params_.enabled ? 2 : 1);
-  out->Put<std::uint64_t>(dim_);
-  PutMatrix(data_, out);
-  out->PutVector(deleted_);
-  if (sq_params_.enabled) {
-    out->Put<std::uint64_t>(sq_params_.refine_factor);
-    out->Put<std::uint64_t>(sq_params_.train_min);
-    out->Put<std::uint8_t>(sq_.trained() ? 1 : 0);
-    if (sq_.trained()) {
-      sq_.Serialize(out);
-      out->PutVector(codes_);
-    }
-  }
+  out->Put<std::uint32_t>(sq_params().enabled ? 2 : 1);
+  out->Put<std::uint64_t>(dim());
+  rows_.Serialize(out);
 }
 
 Result<BruteForceIndex> BruteForceIndex::Deserialize(BinaryReader* in) {
@@ -286,32 +97,7 @@ Result<BruteForceIndex> BruteForceIndex::Deserialize(BinaryReader* in) {
   if (dim == 0) return Status::IOError("BruteForce: zero dimension");
 
   BruteForceIndex index(dim);
-  PPANNS_RETURN_IF_ERROR(GetMatrix(in, &index.data_));
-  PPANNS_RETURN_IF_ERROR(in->GetVector(&index.deleted_));
-  if (index.data_.dim() != dim || index.deleted_.size() != index.data_.size()) {
-    return Status::IOError("BruteForce: inconsistent payload");
-  }
-  for (std::uint8_t d : index.deleted_) index.num_deleted_ += (d != 0);
-  if (version == 2) {
-    index.sq_params_.enabled = true;
-    std::uint64_t refine_factor = 0, train_min = 0;
-    PPANNS_RETURN_IF_ERROR(in->Get(&refine_factor));
-    PPANNS_RETURN_IF_ERROR(in->Get(&train_min));
-    index.sq_params_.refine_factor = refine_factor;
-    index.sq_params_.train_min = train_min;
-    std::uint8_t sq_trained = 0;
-    PPANNS_RETURN_IF_ERROR(in->Get(&sq_trained));
-    if (sq_trained != 0) {
-      Result<Sq8Quantizer> q = Sq8Quantizer::Deserialize(in);
-      if (!q.ok()) return q.status();
-      index.sq_ = std::move(q).value();
-      PPANNS_RETURN_IF_ERROR(in->GetVector(&index.codes_));
-      if (index.sq_.dim() != dim ||
-          index.codes_.size() != index.data_.size() * dim) {
-        return Status::IOError("BruteForce: inconsistent SQ sidecar");
-      }
-    }
-  }
+  PPANNS_RETURN_IF_ERROR(index.rows_.Deserialize(in, version == 2));
   return index;
 }
 

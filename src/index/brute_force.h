@@ -14,6 +14,7 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "index/flat_scan.h"
 #include "index/sq8.h"
 
 namespace ppanns {
@@ -37,8 +38,8 @@ std::vector<std::vector<Neighbor>> BruteForceKnnBatch(const FloatMatrix& data,
 /// `sq.train_min` rows have accumulated, a per-dimension minmax quantizer is
 /// fitted and every row is mirrored as one-byte codes. Search then scans the
 /// codes with the widened-accumulator int8 kernel, keeps an oversampled
-/// shortlist of `sq.refine_factor * k` candidates, and re-ranks it with exact
-/// float distances — returned ids and distances stay the exact-scan answers.
+/// shortlist, and re-ranks it with exact float distances (see FlatScan) —
+/// returned ids and distances stay the exact-scan answers.
 class BruteForceIndex {
  public:
   explicit BruteForceIndex(std::size_t dim, SqParams sq = {});
@@ -50,43 +51,32 @@ class BruteForceIndex {
   /// deleted (matching HnswIndex::PlanRemove).
   Status Remove(VectorId id);
 
-  /// Exact top-k over the live rows, ascending by (distance, id). `ctx`,
-  /// when non-null, is probed every few rows: the scan stops early on
-  /// cancellation / deadline / node budget (returning the best-so-far
-  /// prefix) and nodes_visited / distance_computations accumulate into its
-  /// stats. A null context is the zero-overhead legacy path.
+  /// Exact top-k over the live rows, ascending by (distance, id): one
+  /// FlatScan over every live row. `ctx`, when non-null, is probed per row:
+  /// the scan stops early on cancellation / deadline / node budget
+  /// (returning the best-so-far prefix), and nodes_visited /
+  /// distance_computations accumulate into its stats.
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                SearchContext* ctx = nullptr) const;
 
-  bool IsDeleted(VectorId id) const { return deleted_[id] != 0; }
-  std::size_t size() const { return data_.size() - num_deleted_; }
-  std::size_t capacity() const { return data_.size(); }
-  std::size_t dim() const { return dim_; }
-  const FloatMatrix& data() const { return data_; }
-  const SqParams& sq_params() const { return sq_params_; }
+  bool IsDeleted(VectorId id) const { return rows_.IsDeleted(id); }
+  std::size_t size() const { return rows_.size(); }
+  std::size_t capacity() const { return rows_.capacity(); }
+  std::size_t dim() const { return rows_.dim(); }
+  const FloatMatrix& data() const { return rows_.data(); }
+  const SqParams& sq_params() const { return rows_.sq_params(); }
   /// True once the SQ tier is trained and answering searches.
-  bool sq_active() const { return sq_.trained(); }
+  bool sq_active() const { return rows_.sq_active(); }
 
   /// Resident bytes: the row storage, the tombstone bitmap, and (when the SQ
   /// tier is trained) the int8 code mirror.
-  std::size_t StorageBytes() const;
+  std::size_t StorageBytes() const { return rows_.StorageBytes(); }
 
   void Serialize(BinaryWriter* out) const;
   static Result<BruteForceIndex> Deserialize(BinaryReader* in);
 
  private:
-  /// Fits the quantizer over everything added so far and encodes all rows.
-  void TrainSq();
-  std::vector<Neighbor> SearchSq(const float* query, std::size_t k,
-                                 SearchContext* ctx) const;
-
-  std::size_t dim_;
-  SqParams sq_params_;
-  FloatMatrix data_;
-  std::vector<std::uint8_t> deleted_;
-  std::size_t num_deleted_ = 0;
-  Sq8Quantizer sq_;
-  std::vector<std::int8_t> codes_;  ///< capacity * dim, parallel to data_
+  FlatRows rows_;
 };
 
 }  // namespace ppanns

@@ -1,15 +1,12 @@
 #include "index/ivf.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-
-#include "index/top_k.h"
 
 namespace ppanns {
 
 IvfIndex::IvfIndex(std::size_t dim, IvfParams params, SqParams sq)
-    : dim_(dim), params_(params), sq_params_(sq), data_(0, dim) {
+    : dim_(dim), params_(params), rows_("IVF", dim, sq) {
   PPANNS_CHECK(dim > 0);
   PPANNS_CHECK(params.num_lists > 0);
 }
@@ -84,25 +81,16 @@ double IvfIndex::RunKmeans(const FloatMatrix& sample, Rng& rng) {
 
 void IvfIndex::RouteAll() {
   lists_.assign(params_.num_lists, {});
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    if (deleted_[i]) continue;
-    lists_[NearestCentroid(data_.row(i))].push_back(static_cast<VectorId>(i));
-  }
-}
-
-void IvfIndex::TrainSq(const FloatMatrix& sample) {
-  if (!sq_params_.enabled || sq_.trained() || sample.empty()) return;
-  sq_.Train(sample);
-  codes_.resize(data_.size() * dim_);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    sq_.Encode(data_.row(i), codes_.data() + i * dim_);
+  for (std::size_t i = 0; i < capacity(); ++i) {
+    const auto id = static_cast<VectorId>(i);
+    if (!IsDeleted(id)) lists_[NearestCentroid(data().row(i))].push_back(id);
   }
 }
 
 double IvfIndex::Train(const FloatMatrix& sample, Rng& rng) {
   const double err = RunKmeans(sample, rng);
   RouteAll();
-  TrainSq(sample);
+  rows_.TrainSq(sample);
   return err;
 }
 
@@ -126,12 +114,7 @@ std::size_t IvfIndex::NearestCentroid(const float* v) const {
 }
 
 VectorId IvfIndex::Add(const float* v) {
-  const VectorId id = data_.Append(v);
-  deleted_.push_back(0);
-  if (sq_.trained()) {
-    codes_.resize(codes_.size() + dim_);
-    sq_.Encode(v, codes_.data() + static_cast<std::size_t>(id) * dim_);
-  }
+  const VectorId id = rows_.Append(v);
   if (trained()) {
     lists_[NearestCentroid(v)].push_back(id);
     return id;
@@ -140,11 +123,11 @@ VectorId IvfIndex::Add(const float* v) {
                                     ? std::max(params_.auto_train_min,
                                                params_.num_lists)
                                     : 4 * params_.num_lists;
-  if (data_.size() >= train_min) {
+  if (capacity() >= train_min) {
     Rng rng(params_.seed);
-    RunKmeans(data_, rng);
+    RunKmeans(data(), rng);
     RouteAll();
-    TrainSq(data_);
+    rows_.TrainSq(data());
   }
   return id;
 }
@@ -155,12 +138,9 @@ void IvfIndex::AddBatch(const FloatMatrix& batch) {
 }
 
 Status IvfIndex::Remove(VectorId id) {
-  if (id >= data_.size()) return Status::InvalidArgument("IVF: bad id");
-  if (deleted_[id]) return Status::NotFound("IVF: already deleted");
-  deleted_[id] = 1;
-  ++num_deleted_;
+  PPANNS_RETURN_IF_ERROR(rows_.Tombstone(id));
   if (trained()) {
-    auto& list = lists_[NearestCentroid(data_.row(id))];
+    auto& list = lists_[NearestCentroid(data().row(id))];
     list.erase(std::remove(list.begin(), list.end(), id), list.end());
   }
   return Status::OK();
@@ -169,141 +149,38 @@ Status IvfIndex::Remove(VectorId id) {
 std::vector<Neighbor> IvfIndex::Search(const float* query, std::size_t k,
                                        std::size_t nprobe,
                                        SearchContext* ctx) const {
-  const auto t0 = ctx != nullptr ? SearchContext::Clock::now()
-                                 : SearchContext::Clock::time_point{};
-  CancelProbe probe(ctx);
-  std::size_t scored = 0;  // rows scored by this scan
-  std::size_t refined = 0;
-  std::size_t centroid_dists = 0;
-  const bool use_sq = sq_.trained();
-
-  // The float top-k (exact path) and the oversampled int shortlist (SQ path);
-  // only one is used per search.
-  TopK top(k);
-  SqShortlist shortlist_top(use_sq ? SqShortlistSize(sq_params_, k) : k);
-  std::vector<std::int8_t> qcode;
-  if (use_sq) {
-    qcode.resize(dim_);
-    sq_.Encode(query, qcode.data());
-  }
-
-  // Blocked scan over one posting list (or the untrained full range): batch
-  // of kKernelBlock rows per kernel call, row-granular budget probes (slot bn
-  // answers the probe the unblocked loop would have asked for that row).
-  VectorId ids[kKernelBlock];
-  const float* rows[kKernelBlock];
-  float dists[kKernelBlock];
-  const std::int8_t* crows[kKernelBlock];
-  std::int32_t cdists[kKernelBlock];
-  bool stopped = false;
-  auto scan_block = [&](std::size_t bn) {
-    scored += bn;
-    if (use_sq) {
-      L2BatchInt8(qcode.data(), crows, bn, dim_, cdists);
-      const std::int32_t limit = shortlist_top.threshold();
-      for (std::size_t j = 0; j < bn; ++j) {
-        // int32 rank keys pick the shortlist; RefineExact restores exact
-        // float distances before anything is returned. The threshold
-        // pre-check skips only offers the selector would reject anyway.
-        if (cdists[j] < limit) shortlist_top.Offer(ids[j], cdists[j]);
-      }
-    } else {
-      L2Batch(query, rows, bn, dim_, dists);
-      for (std::size_t j = 0; j < bn; ++j) {
-        top.Offer(Neighbor{ids[j], dists[j]});
-      }
-    }
-  };
-  auto collect = [&](VectorId id, std::size_t bn) {
-    ids[bn] = id;
-    if (use_sq) {
-      crows[bn] = codes_.data() + static_cast<std::size_t>(id) * dim_;
-      PrefetchRead(crows[bn]);
-    } else {
-      rows[bn] = data_.row(id);
-      PrefetchRead(rows[bn]);
-    }
-  };
-
+  FlatScan scan(rows_, query, k, ctx);
   if (!trained()) {
     // Not enough vectors to have auto-trained yet: exact scan of live rows.
-    std::size_t i = 0;
-    while (i < data_.size() && !stopped) {
-      std::size_t bn = 0;
-      for (; i < data_.size() && bn < kKernelBlock; ++i) {
-        if (deleted_[i]) continue;
-        if (probe.ShouldStop(scored + bn)) {
-          stopped = true;
-          break;
-        }
-        collect(static_cast<VectorId>(i), bn);
-        ++bn;
-      }
-      if (bn > 0) scan_block(bn);
-    }
-  } else {
-    nprobe = std::min(nprobe, centroids_.size());
+    scan.ScanLive();
+    return scan.Finish();
+  }
+  nprobe = std::min(nprobe, centroids_.size());
 
-    // Rank centroids by distance through the batched kernel, take the
-    // closest nprobe.
-    std::vector<Neighbor> cents(centroids_.size());
-    for (std::size_t c = 0; c < centroids_.size(); c += kKernelBlock) {
-      const std::size_t bn = std::min(kKernelBlock, centroids_.size() - c);
-      for (std::size_t j = 0; j < bn; ++j) rows[j] = centroids_.row(c + j);
-      L2Batch(query, rows, bn, dim_, dists);
-      for (std::size_t j = 0; j < bn; ++j) {
-        cents[c + j] = Neighbor{static_cast<VectorId>(c + j), dists[j]};
-      }
-    }
-    centroid_dists = centroids_.size();
-    std::partial_sort(cents.begin(), cents.begin() + nprobe, cents.end());
-
-    for (std::size_t p = 0;
-         p < nprobe && !stopped && !probe.ShouldStop(scored); ++p) {
-      const auto& list = lists_[cents[p].id];
-      std::size_t li = 0;
-      while (li < list.size() && !stopped) {
-        std::size_t bn = 0;
-        for (; li < list.size() && bn < kKernelBlock; ++li) {
-          if (probe.ShouldStop(scored + bn)) {
-            stopped = true;
-            break;
-          }
-          collect(list[li], bn);
-          ++bn;
-        }
-        if (bn > 0) scan_block(bn);
-      }
+  // Rank centroids by distance through the batched kernel, take the
+  // closest nprobe.
+  std::vector<Neighbor> cents(centroids_.size());
+  const float* rows[kKernelBlock];
+  float dists[kKernelBlock];
+  for (std::size_t c = 0; c < centroids_.size(); c += kKernelBlock) {
+    const std::size_t bn = std::min(kKernelBlock, centroids_.size() - c);
+    for (std::size_t j = 0; j < bn; ++j) rows[j] = centroids_.row(c + j);
+    L2Batch(query, rows, bn, dim_, dists);
+    for (std::size_t j = 0; j < bn; ++j) {
+      cents[c + j] = Neighbor{static_cast<VectorId>(c + j), dists[j]};
     }
   }
+  std::partial_sort(cents.begin(), cents.begin() + nprobe, cents.end());
 
-  std::vector<Neighbor> out;
-  const auto t1 = ctx != nullptr ? SearchContext::Clock::now()
-                                 : SearchContext::Clock::time_point{};
-  if (use_sq) {
-    const std::vector<VectorId> shortlist = shortlist_top.ExtractIds();
-    refined = shortlist.size();
-    out = RefineExact(data_, query, shortlist, k);
-  } else {
-    out = top.ExtractSorted();
+  for (std::size_t p = 0; p < nprobe && !scan.ShouldStop(); ++p) {
+    scan.Scan(lists_[cents[p].id]);
   }
-  if (ctx != nullptr) {
-    ctx->stats.nodes_visited += scored;
-    ctx->stats.distance_computations += scored + centroid_dists + refined;
-    ctx->stats.filter_seconds += std::chrono::duration<double>(t1 - t0).count();
-    if (use_sq) {
-      ctx->stats.refine_seconds +=
-          std::chrono::duration<double>(SearchContext::Clock::now() - t1)
-              .count();
-    }
-  }
-  return out;
+  return scan.Finish(/*extra_distances=*/centroids_.size());
 }
 
 std::size_t IvfIndex::StorageBytes() const {
-  std::size_t bytes = data_.data().size() * sizeof(float) +
-                      centroids_.data().size() * sizeof(float) +
-                      deleted_.size() + codes_.size();
+  std::size_t bytes =
+      rows_.StorageBytes() + centroids_.data().size() * sizeof(float);
   for (const auto& list : lists_) bytes += list.size() * sizeof(VectorId);
   return bytes;
 }
@@ -312,7 +189,7 @@ void IvfIndex::Serialize(BinaryWriter* out) const {
   // Version 1 stays byte-identical for non-SQ indexes; the SQ sidecar bumps
   // to version 2 (params + quantizer + code mirror).
   out->Put<std::uint32_t>(0x50495646);  // "PIVF"
-  out->Put<std::uint32_t>(sq_params_.enabled ? 2 : 1);
+  out->Put<std::uint32_t>(sq_params().enabled ? 2 : 1);
   out->Put<std::uint64_t>(dim_);
   out->Put<std::uint64_t>(params_.num_lists);
   out->Put<std::uint64_t>(params_.train_iters);
@@ -320,17 +197,7 @@ void IvfIndex::Serialize(BinaryWriter* out) const {
   out->Put<std::uint64_t>(params_.auto_train_min);
   out->Put<std::uint8_t>(trained() ? 1 : 0);
   if (trained()) PutMatrix(centroids_, out);
-  PutMatrix(data_, out);
-  out->PutVector(deleted_);
-  if (sq_params_.enabled) {
-    out->Put<std::uint64_t>(sq_params_.refine_factor);
-    out->Put<std::uint64_t>(sq_params_.train_min);
-    out->Put<std::uint8_t>(sq_.trained() ? 1 : 0);
-    if (sq_.trained()) {
-      sq_.Serialize(out);
-      out->PutVector(codes_);
-    }
-  }
+  rows_.Serialize(out);
 }
 
 Result<IvfIndex> IvfIndex::Deserialize(BinaryReader* in) {
@@ -366,32 +233,7 @@ Result<IvfIndex> IvfIndex::Deserialize(BinaryReader* in) {
       return Status::IOError("IVF: bad centroid shape");
     }
   }
-  PPANNS_RETURN_IF_ERROR(GetMatrix(in, &index.data_));
-  PPANNS_RETURN_IF_ERROR(in->GetVector(&index.deleted_));
-  if (index.data_.dim() != dim || index.deleted_.size() != index.data_.size()) {
-    return Status::IOError("IVF: inconsistent payload");
-  }
-  for (std::uint8_t d : index.deleted_) index.num_deleted_ += (d != 0);
-  if (version == 2) {
-    index.sq_params_.enabled = true;
-    std::uint64_t refine_factor = 0, train_min = 0;
-    PPANNS_RETURN_IF_ERROR(in->Get(&refine_factor));
-    PPANNS_RETURN_IF_ERROR(in->Get(&train_min));
-    index.sq_params_.refine_factor = refine_factor;
-    index.sq_params_.train_min = train_min;
-    std::uint8_t sq_trained = 0;
-    PPANNS_RETURN_IF_ERROR(in->Get(&sq_trained));
-    if (sq_trained != 0) {
-      Result<Sq8Quantizer> q = Sq8Quantizer::Deserialize(in);
-      if (!q.ok()) return q.status();
-      index.sq_ = std::move(q).value();
-      PPANNS_RETURN_IF_ERROR(in->GetVector(&index.codes_));
-      if (index.sq_.dim() != dim ||
-          index.codes_.size() != index.data_.size() * dim) {
-        return Status::IOError("IVF: inconsistent SQ sidecar");
-      }
-    }
-  }
+  PPANNS_RETURN_IF_ERROR(index.rows_.Deserialize(in, version == 2));
   // Posting lists are rebuilt, not persisted: routing is deterministic given
   // the centroids.
   if (trained) index.RouteAll();

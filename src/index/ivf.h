@@ -24,6 +24,7 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "index/flat_scan.h"
 #include "index/sq8.h"
 
 namespace ppanns {
@@ -37,8 +38,9 @@ struct IvfParams {
 };
 
 /// With `sq.enabled`, the posting-list scan runs over an int8 scalar-quantized
-/// code mirror (trained alongside k-means) and an oversampled shortlist is
-/// re-ranked with exact float distances — see index/sq8.h.
+/// code mirror (trained alongside k-means, on the same sample) and an
+/// oversampled shortlist is re-ranked with exact float distances — see
+/// FlatScan.
 class IvfIndex {
  public:
   IvfIndex(std::size_t dim, IvfParams params, SqParams sq = {});
@@ -57,26 +59,26 @@ class IvfIndex {
   /// out of range, NotFound if already deleted (matching HnswIndex::PlanRemove).
   Status Remove(VectorId id);
 
-  /// Scans the `nprobe` closest posting lists; exact ranking within them.
-  /// Untrained indexes fall back to an exact scan of the live rows. `ctx`
-  /// (nullable) makes the posting-list scan cancellable and accumulates
-  /// nodes_visited (rows scored) and distance_computations (rows scored +
-  /// centroid ranking) into its stats.
+  /// Ranks the centroids and runs one FlatScan over the `nprobe` closest
+  /// posting lists; exact ranking within them. Untrained indexes scan every
+  /// live row instead. `ctx` (nullable) makes the scan cancellable and
+  /// accumulates nodes_visited (rows scored) and distance_computations (rows
+  /// scored + SQ refine + centroid ranking) into its stats.
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                std::size_t nprobe,
                                SearchContext* ctx = nullptr) const;
 
   bool trained() const { return !centroids_.empty(); }
-  const SqParams& sq_params() const { return sq_params_; }
+  const SqParams& sq_params() const { return rows_.sq_params(); }
   /// True once the SQ tier is trained and answering posting scans.
-  bool sq_active() const { return sq_.trained(); }
-  bool IsDeleted(VectorId id) const { return deleted_[id] != 0; }
-  std::size_t size() const { return data_.size() - num_deleted_; }
-  std::size_t capacity() const { return data_.size(); }
+  bool sq_active() const { return rows_.sq_active(); }
+  bool IsDeleted(VectorId id) const { return rows_.IsDeleted(id); }
+  std::size_t size() const { return rows_.size(); }
+  std::size_t capacity() const { return rows_.capacity(); }
   std::size_t dim() const { return dim_; }
   const IvfParams& params() const { return params_; }
   const FloatMatrix& centroids() const { return centroids_; }
-  const FloatMatrix& data() const { return data_; }
+  const FloatMatrix& data() const { return rows_.data(); }
   /// Occupancy of list `i` (balance diagnostics).
   std::size_t ListSize(std::size_t i) const { return lists_[i].size(); }
 
@@ -92,19 +94,12 @@ class IvfIndex {
   void RouteAll();
   /// The Lloyd iterations shared by Train and auto-training.
   double RunKmeans(const FloatMatrix& sample, Rng& rng);
-  /// Fits the SQ quantizer on `sample` and encodes all stored rows.
-  void TrainSq(const FloatMatrix& sample);
 
   std::size_t dim_;
   IvfParams params_;
-  SqParams sq_params_;
   FloatMatrix centroids_;
-  FloatMatrix data_;
+  FlatRows rows_;
   std::vector<std::vector<VectorId>> lists_;
-  std::vector<std::uint8_t> deleted_;
-  std::size_t num_deleted_ = 0;
-  Sq8Quantizer sq_;
-  std::vector<std::int8_t> codes_;  ///< capacity * dim, parallel to data_
 };
 
 }  // namespace ppanns

@@ -4,12 +4,10 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "index/top_k.h"
-
 namespace ppanns {
 
 LshIndex::LshIndex(std::size_t dim, LshParams params, Rng& rng)
-    : dim_(dim), params_(params), data_(0, dim) {
+    : dim_(dim), params_(params), rows_("LSH", dim, SqParams{}) {
   PPANNS_CHECK(dim > 0);
   PPANNS_CHECK(params.num_tables > 0 && params.num_hashes > 0);
   PPANNS_CHECK(params.bucket_width > 0.0);
@@ -17,7 +15,7 @@ LshIndex::LshIndex(std::size_t dim, LshParams params, Rng& rng)
 }
 
 LshIndex::LshIndex(std::size_t dim, LshParams params)
-    : dim_(dim), params_(params), data_(0, dim) {
+    : dim_(dim), params_(params), rows_("LSH", dim, SqParams{}) {
   PPANNS_CHECK(dim > 0);
   PPANNS_CHECK(params.num_tables > 0 && params.num_hashes > 0);
   PPANNS_CHECK(params.bucket_width > 0.0);
@@ -80,8 +78,7 @@ std::uint64_t LshIndex::HashKey(const float* v, std::size_t table) const {
 }
 
 VectorId LshIndex::Add(const float* v) {
-  const VectorId id = data_.Append(v);
-  deleted_.push_back(0);
+  const VectorId id = rows_.Append(v);
   for (std::size_t t = 0; t < params_.num_tables; ++t) {
     tables_[t][HashKey(v, t)].push_back(id);
   }
@@ -89,15 +86,12 @@ VectorId LshIndex::Add(const float* v) {
 }
 
 Status LshIndex::Remove(VectorId id) {
-  if (id >= data_.size()) return Status::InvalidArgument("LSH: bad id");
-  if (deleted_[id]) return Status::NotFound("LSH: already deleted");
-  deleted_[id] = 1;
-  ++num_deleted_;
+  PPANNS_RETURN_IF_ERROR(rows_.Tombstone(id));
   // The tombstoned row keeps its slot (ids stay dense), but its bucket
   // entries are unhooked so it can never be a candidate again. Hashing is
   // deterministic, so the keys are recoverable from the stored row.
   for (std::size_t t = 0; t < params_.num_tables; ++t) {
-    const std::uint64_t key = HashKey(data_.row(id), t);
+    const std::uint64_t key = HashKey(data().row(id), t);
     auto it = tables_[t].find(key);
     if (it == tables_[t].end()) continue;
     auto& bucket = it->second;
@@ -149,40 +143,9 @@ std::vector<VectorId> LshIndex::Candidates(const float* query,
 std::vector<Neighbor> LshIndex::Search(const float* query, std::size_t k,
                                        std::size_t probes_per_table,
                                        SearchContext* ctx) const {
-  TopK top(k);
-  CancelProbe probe(ctx);
-  std::size_t scored = 0;
-  // Blocked candidate scoring: up to kKernelBlock bucket hits per batched
-  // kernel call, with row-granular budget probes (slot bn answers the probe
-  // the unblocked loop would have asked for that candidate).
-  const std::vector<VectorId> cands = Candidates(query, probes_per_table);
-  VectorId ids[kKernelBlock];
-  const float* rows[kKernelBlock];
-  float dists[kKernelBlock];
-  std::size_t i = 0;
-  bool stopped = false;
-  while (i < cands.size() && !stopped) {
-    std::size_t bn = 0;
-    for (; i < cands.size() && bn < kKernelBlock; ++i) {
-      if (probe.ShouldStop(scored + bn)) {
-        stopped = true;
-        break;
-      }
-      ids[bn] = cands[i];
-      rows[bn] = data_.row(cands[i]);
-      PrefetchRead(rows[bn]);
-      ++bn;
-    }
-    if (bn == 0) continue;
-    L2Batch(query, rows, bn, dim_, dists);
-    scored += bn;
-    for (std::size_t j = 0; j < bn; ++j) top.Offer(Neighbor{ids[j], dists[j]});
-  }
-  if (ctx != nullptr) {
-    ctx->stats.nodes_visited += scored;
-    ctx->stats.distance_computations += scored;
-  }
-  return top.ExtractSorted();
+  FlatScan scan(rows_, query, k, ctx);
+  scan.Scan(Candidates(query, probes_per_table));
+  return scan.Finish();
 }
 
 double LshIndex::AvgBucketSize() const {
@@ -193,7 +156,7 @@ double LshIndex::AvgBucketSize() const {
 }
 
 std::size_t LshIndex::StorageBytes() const {
-  std::size_t bytes = data_.data().size() * sizeof(float) + deleted_.size();
+  std::size_t bytes = rows_.StorageBytes();
   for (const auto& proj : projections_) bytes += proj.size() * sizeof(float);
   for (const auto& off : offsets_) bytes += off.size() * sizeof(float);
   for (const auto& table : tables_) {
@@ -218,8 +181,7 @@ void LshIndex::Serialize(BinaryWriter* out) const {
     out->PutVector(projections_[t]);
     out->PutVector(offsets_[t]);
   }
-  PutMatrix(data_, out);
-  out->PutVector(deleted_);
+  rows_.Serialize(out);
 }
 
 Result<LshIndex> LshIndex::Deserialize(BinaryReader* in) {
@@ -260,21 +222,14 @@ Result<LshIndex> LshIndex::Deserialize(BinaryReader* in) {
       return Status::IOError("LSH: bad projection shape");
     }
   }
-  PPANNS_RETURN_IF_ERROR(GetMatrix(in, &index.data_));
-  PPANNS_RETURN_IF_ERROR(in->GetVector(&index.deleted_));
-  if (index.data_.dim() != dim || index.deleted_.size() != index.data_.size()) {
-    return Status::IOError("LSH: inconsistent payload");
-  }
+  PPANNS_RETURN_IF_ERROR(index.rows_.Deserialize(in, /*has_sq=*/false));
   // Buckets are rebuilt, not persisted: hashing is deterministic given the
   // projections.
-  for (std::size_t i = 0; i < index.data_.size(); ++i) {
-    if (index.deleted_[i]) {
-      ++index.num_deleted_;
-      continue;
-    }
+  for (std::size_t i = 0; i < index.capacity(); ++i) {
+    const auto id = static_cast<VectorId>(i);
+    if (index.IsDeleted(id)) continue;
     for (std::size_t t = 0; t < num_tables; ++t) {
-      const auto id = static_cast<VectorId>(i);
-      index.tables_[t][index.HashKey(index.data_.row(i), t)].push_back(id);
+      index.tables_[t][index.HashKey(index.data().row(i), t)].push_back(id);
     }
   }
   return index;

@@ -17,6 +17,7 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "index/flat_scan.h"
 
 namespace ppanns {
 
@@ -50,21 +51,21 @@ class LshIndex {
   std::vector<VectorId> Candidates(const float* query,
                                    std::size_t probes_per_table = 0) const;
 
-  /// Full search: rank candidates by exact distance over the stored vectors
-  /// and return the top k. (Baselines instead ship candidates to the user.)
-  /// `ctx` (nullable) makes the candidate-scoring loop cancellable and
-  /// accumulates nodes_visited / distance_computations (rows scored; hash
-  /// projections are not counted) into its stats.
+  /// Full search: one FlatScan ranks the candidates by exact distance over
+  /// the stored vectors and returns the top k. (Baselines instead ship
+  /// candidates to the user.) `ctx` (nullable) makes the candidate scoring
+  /// cancellable and accumulates nodes_visited / distance_computations (rows
+  /// scored; hash projections are not counted) into its stats.
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                std::size_t probes_per_table = 0,
                                SearchContext* ctx = nullptr) const;
 
-  bool IsDeleted(VectorId id) const { return deleted_[id] != 0; }
-  std::size_t size() const { return data_.size() - num_deleted_; }
-  std::size_t capacity() const { return data_.size(); }
+  bool IsDeleted(VectorId id) const { return rows_.IsDeleted(id); }
+  std::size_t size() const { return rows_.size(); }
+  std::size_t capacity() const { return rows_.capacity(); }
   std::size_t dim() const { return dim_; }
   const LshParams& params() const { return params_; }
-  const FloatMatrix& data() const { return data_; }
+  const FloatMatrix& data() const { return rows_.data(); }
 
   /// Average bucket occupancy of table 0 (distribution sanity in tests).
   double AvgBucketSize() const;
@@ -87,14 +88,12 @@ class LshIndex {
 
   std::size_t dim_;
   LshParams params_;
-  FloatMatrix data_;
+  FlatRows rows_;  ///< float rows + tombstones; LSH has no SQ tier
   /// projections_[t] is an (num_hashes x dim) row-major block; offsets_[t]
   /// the corresponding b values.
   std::vector<std::vector<float>> projections_;
   std::vector<std::vector<float>> offsets_;
   std::vector<std::unordered_map<std::uint64_t, std::vector<VectorId>>> tables_;
-  std::vector<std::uint8_t> deleted_;
-  std::size_t num_deleted_ = 0;
 };
 
 }  // namespace ppanns

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "index/top_k.h"
-
 namespace ppanns {
 
 namespace {
@@ -70,27 +68,6 @@ Result<Sq8Quantizer> Sq8Quantizer::Deserialize(BinaryReader* in) {
   }
   q.dim_ = dim;
   return q;
-}
-
-std::vector<Neighbor> RefineExact(const FloatMatrix& data, const float* query,
-                                  const std::vector<VectorId>& shortlist,
-                                  std::size_t k) {
-  TopK top(k);
-  const float* rows[kKernelBlock];
-  float dists[kKernelBlock];
-  const std::size_t d = data.dim();
-  for (std::size_t i = 0; i < shortlist.size(); i += kKernelBlock) {
-    const std::size_t bn = std::min(kKernelBlock, shortlist.size() - i);
-    for (std::size_t j = 0; j < bn; ++j) {
-      rows[j] = data.row(shortlist[i + j]);
-      PrefetchRead(rows[j]);
-    }
-    L2Batch(query, rows, bn, d, dists);
-    for (std::size_t j = 0; j < bn; ++j) {
-      top.Offer(Neighbor{shortlist[i + j], dists[j]});
-    }
-  }
-  return top.ExtractSorted();
 }
 
 }  // namespace ppanns

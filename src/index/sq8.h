@@ -39,10 +39,13 @@ struct SqParams {
   /// and packages must stay byte-identical unless the owner opts in (--sq).
   bool enabled = false;
   /// Shortlist size as a multiple of k; the refine stage re-ranks
-  /// max(refine_factor * k, 32) candidates with exact float distances.
+  /// max(refine_factor * k, 32) candidates with exact float distances (never
+  /// more than the rows the scan can offer).
   std::size_t refine_factor = 8;
-  /// Train the quantizer once this many rows have accumulated; until then
-  /// searches use the exact float scan.
+  /// Brute force trains the quantizer once this many rows have accumulated;
+  /// until then searches use the exact float scan. IVF ignores it: it trains
+  /// its mirror together with k-means, on the same sample. The value is
+  /// still kept in the PIVF v2 bytes.
   std::size_t train_min = 256;
 };
 
@@ -81,11 +84,6 @@ class Sq8Quantizer {
   std::vector<float> min_;
   std::vector<float> scale_;  ///< (max - min) / 127, floored at a tiny epsilon
 };
-
-/// Shortlist size the SQ scan keeps for a top-k request.
-inline std::size_t SqShortlistSize(const SqParams& sq, std::size_t k) {
-  return std::max<std::size_t>(sq.refine_factor * k, 32);
-}
 
 /// Deterministic bounded selector for the SQ filter scan: keeps the `cap`
 /// smallest (code distance, id) pairs seen so far. Accepted offers append to
@@ -143,14 +141,6 @@ class SqShortlist {
   std::int32_t limit_ = std::numeric_limits<std::int32_t>::max();
   std::vector<Entry> buf_;
 };
-
-/// Refine stage shared by the flat backends: re-ranks `shortlist` (ids into
-/// `data`) with exact float distances through the batched kernel and returns
-/// the top-k ascending by (distance, id) — exactly what the float scan would
-/// have returned for any true neighbor that made the shortlist.
-std::vector<Neighbor> RefineExact(const FloatMatrix& data, const float* query,
-                                  const std::vector<VectorId>& shortlist,
-                                  std::size_t k);
 
 }  // namespace ppanns
 

@@ -1,5 +1,6 @@
 // The cancellable query-execution pipeline at the index layer: every
-// SecureFilterIndex backend (hnsw / ivf / lsh / brute) must
+// SecureFilterIndex backend (hnsw / ivf / lsh / brute), on the float and the
+// SQ8 tier (ivf, brute) and on fresh and tombstoned indexes, must
 //  * return bit-for-bit identical results with and without a SearchContext
 //    that never trips (the context only observes),
 //  * report its work (nodes_visited / distance_computations) into the
@@ -9,6 +10,8 @@
 //    and reporting the early-exit reason.
 
 #include <atomic>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -24,7 +27,26 @@ constexpr std::size_t kDim = 16;
 constexpr std::size_t kN = 2000;
 constexpr std::size_t kK = 10;
 
-class CancellationTest : public ::testing::TestWithParam<IndexKind> {
+// One scan configuration packed into a byte: the IndexKind in the low
+// nibble, the SQ8 tier and the tombstones as flag bits above it. gtest lists
+// a parameterized test with its parameter's bytes ("# GetParam() = 1-byte
+// object <03>"), and a fresh float case is the bare IndexKind byte, so it
+// keeps the listed name it had when the parameter was the kind alone.
+enum class ScanCase : std::uint8_t {};
+constexpr std::uint8_t kSq8 = 0x10;
+constexpr std::uint8_t kTombstoned = 0x20;
+
+constexpr ScanCase Case(IndexKind kind, std::uint8_t flags = 0) {
+  return static_cast<ScanCase>(static_cast<std::uint8_t>(kind) | flags);
+}
+IndexKind KindOf(ScanCase c) {
+  return static_cast<IndexKind>(static_cast<std::uint8_t>(c) & 0x0f);
+}
+bool Has(ScanCase c, std::uint8_t bit) {
+  return (static_cast<std::uint8_t>(c) & bit) != 0;
+}
+
+class CancellationTest : public ::testing::TestWithParam<ScanCase> {
  protected:
   void SetUp() override {
     data_ = MakeDataset(SyntheticKind::kGloveLike, kN, 1, 0, /*seed=*/77, kDim)
@@ -35,10 +57,19 @@ class CancellationTest : public ::testing::TestWithParam<IndexKind> {
     // dataset — the point here is hot-loop cancellation, not selectivity.
     options.lsh = LshParams{.num_tables = 4, .num_hashes = 2,
                             .bucket_width = 16.0, .seed = 77};
-    auto index = MakeSecureFilterIndex(GetParam(), kDim, options);
+    options.sq.enabled = Has(GetParam(), kSq8);
+    auto index = MakeSecureFilterIndex(KindOf(GetParam()), kDim, options);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = std::move(*index);
     index_->AddBatch(data_);
+    if (Has(GetParam(), kTombstoned)) {
+      // Every tenth row, the query row among them.
+      for (VectorId id = 0; id < kN; id += 10) {
+        auto edit = index_->PlanRemove(id);
+        ASSERT_TRUE(edit.ok()) << edit.status().ToString();
+        index_->ApplyRemove(*edit);
+      }
+    }
     query_ = data_.row(kN / 2);
   }
 
@@ -120,13 +151,22 @@ TEST_P(CancellationTest, TruncatedScanStillReturnsBestPrefix) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, CancellationTest,
-                         ::testing::Values(IndexKind::kHnsw, IndexKind::kIvf,
-                                           IndexKind::kLsh,
-                                           IndexKind::kBruteForce),
-                         [](const ::testing::TestParamInfo<IndexKind>& info) {
-                           return IndexKindName(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, CancellationTest,
+    ::testing::Values(
+        Case(IndexKind::kHnsw), Case(IndexKind::kIvf), Case(IndexKind::kLsh),
+        Case(IndexKind::kBruteForce), Case(IndexKind::kIvf, kSq8),
+        Case(IndexKind::kBruteForce, kSq8), Case(IndexKind::kHnsw, kTombstoned),
+        Case(IndexKind::kIvf, kTombstoned), Case(IndexKind::kLsh, kTombstoned),
+        Case(IndexKind::kBruteForce, kTombstoned),
+        Case(IndexKind::kIvf, kSq8 | kTombstoned),
+        Case(IndexKind::kBruteForce, kSq8 | kTombstoned)),
+    [](const ::testing::TestParamInfo<ScanCase>& info) {
+      std::string name = IndexKindName(KindOf(info.param));
+      if (Has(info.param, kSq8)) name += "_sq8";
+      if (Has(info.param, kTombstoned)) name += "_tombstoned";
+      return name;
+    });
 
 }  // namespace
 }  // namespace ppanns

@@ -499,5 +499,34 @@ TEST(Sq8Test, SqIndexSerializeRoundTrip) {
   for (std::size_t i = 0; i < i1.size(); ++i) EXPECT_EQ(i1[i].id, i2[i].id);
 }
 
+// A k beyond the rows must not size the SQ shortlist: the shortlist is
+// bounded by the rows the scan can offer, so a huge k costs no more memory
+// than k = n and returns the same answer, also where refine_factor * k
+// overflows.
+TEST(Sq8Test, HugeKEqualsFullScan) {
+  const std::size_t d = 16, n = 500;
+  const FloatMatrix data = RandomData(n, d, 0x5C6);
+  const FloatMatrix query = RandomData(1, d, 0x5C7);
+  const float* q = query.row(0);
+  const SqParams sq{.enabled = true, .refine_factor = 8, .train_min = 64};
+
+  BruteForceIndex brute(d, sq);
+  IvfIndex ivf(d, IvfParams{.num_lists = 8, .train_iters = 4, .seed = 41},
+               sq);
+  brute.AddBatch(data);
+  ivf.AddBatch(data);
+  ASSERT_TRUE(brute.sq_active());
+  ASSERT_TRUE(ivf.sq_active());
+
+  const auto brute_full = brute.Search(q, n);
+  const auto ivf_full = ivf.Search(q, n, /*nprobe=*/8);
+  ASSERT_EQ(brute_full.size(), n);
+  ASSERT_EQ(ivf_full.size(), n);
+  for (const std::size_t k : {std::size_t{1} << 40, std::size_t{1} << 62}) {
+    EXPECT_EQ(brute.Search(q, k), brute_full) << "k = " << k;
+    EXPECT_EQ(ivf.Search(q, k, /*nprobe=*/8), ivf_full) << "k = " << k;
+  }
+}
+
 }  // namespace
 }  // namespace ppanns

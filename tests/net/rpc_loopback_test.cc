@@ -709,6 +709,46 @@ TEST(RemoteAuthTest, UnauthenticatedFrameIsNeverServed) {
   EXPECT_EQ(backend.size(), ds.base.size());  // the delete was never applied
 }
 
+// A scan's memory is bounded by the shard, not by the k' on the wire: a
+// hostile FilterRequest with k' = 2^40 against an IVF+SQ8 shard is answered
+// OK with at most the shard's rows (the same answer as k' = rows), and the
+// server still answers the next request.
+TEST(RemoteScanBoundTest, HugeKPrimeIsAnsweredWithinTheShardRows) {
+  const Dataset ds = MakeData(600, 1, /*seed=*/97);
+  PpannsParams params = BaseParams(IndexKind::kIvf, 2, 1, 97);
+  params.ivf = IvfParams{.num_lists = 8, .train_iters = 4, .seed = 97};
+  params.sq = SqParams{.enabled = true};
+  DataOwner owner = MakeOwner(params);
+  PpannsService backend(
+      ShardedCloudServer(owner.EncryptAndIndexSharded(ds.base)));
+  ShardServer server(&backend, std::vector<std::uint32_t>{});
+  ASSERT_TRUE(server.Start(0).ok());
+  auto cluster = ConnectCluster({Endpoint(server)});
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const RemoteShardClient client(cluster->pools[0], /*shard=*/0,
+                                 /*replica=*/0);
+  const QueryToken token = MakeTokens(owner, ds, 99).front();
+  const std::size_t rows = backend.sharded_server().shard(0).index().size();
+
+  auto filter = [&](std::size_t k_prime, ShardFilterResult* out) {
+    SearchContext ctx;
+    return client.Filter(token, ShardFilterOptions{.k_prime = k_prime}, &ctx,
+                         out);
+  };
+  ShardFilterResult huge, bounded, next;
+  const Status huge_status = filter(std::size_t{1} << 40, &huge);
+  ASSERT_TRUE(huge_status.ok()) << huge_status.ToString();
+  EXPECT_TRUE(huge.scanned);
+  EXPECT_FALSE(huge.candidates.empty());
+  EXPECT_LE(huge.candidates.size(), rows);
+  ASSERT_TRUE(filter(rows, &bounded).ok());
+  EXPECT_EQ(huge.candidates, bounded.candidates);
+
+  const Status next_status = filter(40, &next);
+  ASSERT_TRUE(next_status.ok()) << next_status.ToString();
+  EXPECT_EQ(next.candidates.size(), 40u);
+}
+
 // ---------------------------------------------------------------------------
 // Per-endpoint connection pools: pool_size streams per endpoint, calls on
 // the least-loaded live stream. Every protocol semantic — id equality,
