@@ -5,7 +5,7 @@
 // Sweeps dim in {64, 128, 384, 960} x {scalar, simd, simd+sq} over an
 // exhaustive flat scan (the filter-stage workload with every index
 // overhead stripped away) and reports, per point, the filter-stage scan cost
-// (via SearchStats::filter_seconds — for the float configs the whole scan IS
+// (via SearchStats::scan_seconds — for the float configs the whole scan IS
 // the filter stage; for sq it is the int8 code scan + shortlist selection),
 // end-to-end search cost, both speedups against the forced-scalar float
 // scan, and recall@10 against the exact scan's ids. The scalar and simd
@@ -50,11 +50,11 @@ struct Point {
 };
 
 // One timed pass: `queries` top-k searches on `index`, returning wall time
-// and the filter-stage portion (SearchStats::filter_seconds). `got` is
+// and the filter-stage portion (SearchStats::scan_seconds). `got` is
 // filled with the result ids when non-null.
 Point RunPass(const BruteForceIndex& index, const FloatMatrix& queries,
               std::size_t k, std::vector<std::vector<VectorId>>* got) {
-  // A stats-only context: collects per-stage filter/refine wall times. It
+  // A stats-only context: collects the scan and SQ re-rank wall times. It
   // runs the same flat scan as every other search.
   SearchContext ctx;
   Point p;
@@ -67,7 +67,7 @@ Point RunPass(const BruteForceIndex& index, const FloatMatrix& queries,
     if (got != nullptr) got->push_back(std::move(ids));
   }
   p.seconds = timer.ElapsedSeconds();
-  p.filter_seconds = ctx.stats.filter_seconds;
+  p.filter_seconds = ctx.stats.scan_seconds;
   return p;
 }
 

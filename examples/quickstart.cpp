@@ -96,7 +96,7 @@ int main() {
   std::printf("batch: %zu queries in %.1f ms wall, %zu DCE comparisons "
               "total\n", batch->counters.num_queries,
               batch->counters.wall_seconds * 1e3,
-              batch->counters.total_dce_comparisons);
+              batch->counters.total.dce_comparisons);
 
   // ---- The async serving path: hedge shards that miss a 5 ms deadline
   // onto their next replica — same ids, hidden stragglers.

@@ -72,11 +72,11 @@ int main() {
     p.recall = MeanRecallAtK(ids, ds.ground_truth, k);
     p.qps = queries / batch->counters.wall_seconds;
     p.mean_latency_ms = batch->counters.wall_seconds * 1e3 / queries;
-    p.mean_filter_ms = batch->counters.total_filter_seconds * 1e3 / queries;
-    p.mean_refine_ms = batch->counters.total_refine_seconds * 1e3 / queries;
-    p.mean_dce_comparisons = batch->counters.total_dce_comparisons / queries;
+    p.mean_filter_ms = batch->counters.total.filter_seconds * 1e3 / queries;
+    p.mean_refine_ms = batch->counters.total.refine_seconds * 1e3 / queries;
+    p.mean_dce_comparisons = batch->counters.total.dce_comparisons / queries;
     p.mean_filter_candidates =
-        batch->counters.total_filter_candidates / queries;
+        batch->counters.total.filter_candidates / queries;
     std::printf("%s\n",
                 FormatRow("rag-corpus", "Ratio_k=" + std::to_string(ratio), p)
                     .c_str());

@@ -10,9 +10,10 @@
 //  * an absolute deadline and a filter-phase node budget — the explicit
 //    per-query work bound the ROADMAP calls for (Riazi-style bounded server
 //    work): hot loops stop when either trips;
-//  * SearchStats counters — nodes visited, distance computations, DCE
-//    comparisons — so every SearchResult can report what the query actually
-//    cost, not just how long it took.
+//  * SearchStats — the query's work record (rows scored, distance
+//    computations, DCE comparisons, candidates, hedges, phase times) — so
+//    every SearchResult can report what the query actually cost, not just
+//    how long it took.
 //
 // Threading model: a SearchContext is written by exactly one scanning
 // thread. Cross-thread signalling happens only through the registered
@@ -38,7 +39,9 @@
 
 namespace ppanns {
 
-/// Per-query work counters, accumulated by every layer the query crosses.
+/// The per-query work record: every layer a query crosses adds its own
+/// counts here, fan-outs sum their branches with Merge, and a SearchResult's
+/// counters are one copy of it. Each field has one meaning on every path.
 struct SearchStats {
   /// Database rows scored against the query (the filter-phase unit of work;
   /// the node-budget bound applies to this counter).
@@ -48,21 +51,40 @@ struct SearchStats {
   std::size_t distance_computations = 0;
   /// Trapdoor comparisons spent in the DCE refine phase.
   std::size_t dce_comparisons = 0;
-  /// Wall time the flat backends (brute force, IVF, LSH) spent in the
-  /// filter-stage scan: the float or int8 code scan plus selection, and
-  /// IVF's centroid ranking / LSH's bucket lookup. HNSW leaves it 0. Local
-  /// profiling only — these do not travel over the shard RPC wire.
+  /// Candidates the filter phase handed to the refine phase (after the
+  /// gather's cut to k').
+  std::size_t filter_candidates = 0;
+  /// Hedge dispatches issued for the query's work items (a replica missed
+  /// the hedging deadline and the next one was tried); 0 with hedging off.
+  std::size_t hedged_requests = 0;
+  /// Down replicas passed over ahead of the first live one when the query's
+  /// work items picked their replicas, summed across shards.
+  std::size_t replicas_skipped = 0;
+  /// Filter-phase time: the index search, or on a sharded server the sum of
+  /// the query's winning dispatch times (not the scatter's wall time).
   double filter_seconds = 0.0;
+  /// Time of the DCE refine phase.
+  double refine_seconds = 0.0;
+  /// Wall time the flat backends (brute force, IVF, LSH) spent in their
+  /// scan: the float or int8 code scan plus selection, and IVF's centroid
+  /// ranking / LSH's bucket lookup. HNSW leaves it 0. Local profiling only —
+  /// it does not travel over the shard RPC wire.
+  double scan_seconds = 0.0;
   /// Wall time a flat backend spent re-ranking the SQ shortlist with exact
   /// distances; 0 on the float tier and for HNSW.
-  double refine_seconds = 0.0;
+  double sq_rerank_seconds = 0.0;
 
   void Merge(const SearchStats& other) {
     nodes_visited += other.nodes_visited;
     distance_computations += other.distance_computations;
     dce_comparisons += other.dce_comparisons;
+    filter_candidates += other.filter_candidates;
+    hedged_requests += other.hedged_requests;
+    replicas_skipped += other.replicas_skipped;
     filter_seconds += other.filter_seconds;
     refine_seconds += other.refine_seconds;
+    scan_seconds += other.scan_seconds;
+    sq_rerank_seconds += other.sq_rerank_seconds;
   }
 };
 

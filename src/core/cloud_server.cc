@@ -12,7 +12,7 @@ void RefineCandidates(std::span<const Neighbor> candidates,
                       const QueryToken& token, std::size_t k,
                       const SearchSettings& settings, SearchContext* ctx,
                       SearchResult* result) {
-  result->counters.filter_candidates = candidates.size();
+  ctx->stats.filter_candidates += candidates.size();
   if (!settings.refine) {
     // Filter-only variant: the SAP ranking is final (approximate).
     const std::size_t out_k = std::min(k, candidates.size());
@@ -20,47 +20,46 @@ void RefineCandidates(std::span<const Neighbor> candidates,
     for (std::size_t i = 0; i < out_k; ++i) {
       result->ids.push_back(candidates[i].id);
     }
-    FillCounters(&result->counters, *ctx);
-    return;
-  }
-
-  // Exact DCE comparisons under the canonical order over candidate
-  // positions (see the contract in cloud_server.h).
-  Timer refine_timer;
-  std::size_t* comparisons = &result->counters.dce_comparisons;
-  SortedKBuffer buffer(
-      k, CanonicalCloser([dce, &token, comparisons](VectorId o, VectorId p) {
-        ++*comparisons;
-        return DceScheme::DistanceComp(*dce[o], *dce[p], token.trapdoor);
-      }));
-  // Blocked offers: gather a block of candidates and prefetch their DCE
-  // ciphertext payloads, then run the comparison-heavy offers over warm
-  // lines. Offers apply in candidate order, so ids match the unblocked loop.
-  // The context is probed as each candidate is gathered (candidate
-  // granularity — DCE comparisons dwarf a row scan); a spent filter budget
-  // does not abandon refinement, only cancellation or the deadline does.
-  VectorId block[kKernelBlock];
-  std::size_t ci = 0;
-  bool abandoned = false;
-  while (ci < candidates.size() && !abandoned) {
-    std::size_t bn = 0;
-    for (; ci < candidates.size() && bn < kKernelBlock; ++ci) {
-      if (ctx->ShouldAbandon()) {
-        abandoned = true;
-        break;
+  } else {
+    // Exact DCE comparisons under the canonical order over candidate
+    // positions (see the contract in cloud_server.h).
+    Timer refine_timer;
+    std::size_t* comparisons = &ctx->stats.dce_comparisons;
+    SortedKBuffer buffer(
+        k, CanonicalCloser([dce, &token, comparisons](VectorId o, VectorId p) {
+          ++*comparisons;
+          return DceScheme::DistanceComp(*dce[o], *dce[p], token.trapdoor);
+        }));
+    // Blocked offers: gather a block of candidates and prefetch their DCE
+    // ciphertext payloads, then run the comparison-heavy offers over warm
+    // lines. Offers apply in candidate order, so ids match the unblocked
+    // loop. The context is probed as each candidate is gathered (candidate
+    // granularity — DCE comparisons dwarf a row scan); a spent filter budget
+    // does not abandon refinement, only cancellation or the deadline does.
+    VectorId block[kKernelBlock];
+    std::size_t ci = 0;
+    bool abandoned = false;
+    while (ci < candidates.size() && !abandoned) {
+      std::size_t bn = 0;
+      for (; ci < candidates.size() && bn < kKernelBlock; ++ci) {
+        if (ctx->ShouldAbandon()) {
+          abandoned = true;
+          break;
+        }
+        PrefetchRead(dce[ci]->data.data());
+        block[bn++] = static_cast<VectorId>(ci);
       }
-      PrefetchRead(dce[ci]->data.data());
-      block[bn++] = static_cast<VectorId>(ci);
+      buffer.OfferBatch(block, bn);
     }
-    buffer.OfferBatch(block, bn);
+    result->ids.reserve(buffer.size());
+    for (VectorId pos : buffer.sorted()) {
+      result->ids.push_back(candidates[pos].id);
+    }
+    ctx->stats.refine_seconds += refine_timer.ElapsedSeconds();
   }
-  result->ids.reserve(buffer.size());
-  for (VectorId pos : buffer.sorted()) {
-    result->ids.push_back(candidates[pos].id);
-  }
-  result->counters.refine_seconds = refine_timer.ElapsedSeconds();
-  ctx->stats.dce_comparisons += result->counters.dce_comparisons;
-  FillCounters(&result->counters, *ctx);
+  // The last step of every serving path: one copy of the query's stats.
+  static_cast<SearchStats&>(result->counters) = ctx->stats;
+  result->counters.early_exit = ctx->early_exit();
 }
 
 SearchResult CloudServer::Search(const QueryToken& token, std::size_t k,
@@ -81,7 +80,7 @@ SearchResult CloudServer::Search(const QueryToken& token, std::size_t k,
   Timer filter_timer;
   const std::vector<Neighbor> candidates = db_.index->Search(
       token.sap.data(), ResolveKPrime(settings, k), settings.ef_search, ctx);
-  result.counters.filter_seconds = filter_timer.ElapsedSeconds();
+  ctx->stats.filter_seconds += filter_timer.ElapsedSeconds();
 
   std::vector<const DceCiphertext*> dce;
   if (settings.refine) {

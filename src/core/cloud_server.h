@@ -69,50 +69,18 @@ inline void ApplyContextSettings(SearchContext* ctx,
 }
 
 /// Instrumentation for the cost analyses (Fig. 6 / Fig. 9) and the async
-/// serving path (Fig. 11). Every counter describes one query — in a batch,
-/// that query's own work items — except hedge_wasted_nodes.
-struct SearchCounters {
-  std::size_t filter_candidates = 0;
-  std::size_t dce_comparisons = 0;
-  /// Hedge dispatches issued for this query's work items (a replica missed
-  /// the hedging deadline and the next one was tried). Always 0 when
-  /// hedging is off.
-  std::size_t hedged_requests = 0;
-  /// Down replicas passed over ahead of the first live one when this
-  /// query's work items picked their replicas, summed across shards.
-  std::size_t replicas_skipped = 0;
-  /// Database rows scored by the winning filter scans of this query, summed
-  /// across shards (SearchStats::nodes_visited).
-  std::size_t nodes_visited = 0;
-  /// All vector-distance evaluations behind this query (superset of
-  /// nodes_visited; includes IVF centroid ranking).
-  std::size_t distance_computations = 0;
-  /// Nodes scored by hedge work items that lost the claim race — wasted
-  /// work, observed at gather time (losers still running when the gather
-  /// completed land only in ShardedCloudServer::CancelledWorkNodes()).
-  /// Batch-wide: a batch reports it on its first result only.
-  std::size_t hedge_wasted_nodes = 0;
+/// serving path (Fig. 11): a copy of the query context's SearchStats — in a
+/// batch, that query's own work items — plus how the answer was produced.
+struct SearchCounters : SearchStats {
   /// Why the query stopped early, if it did (cancellation, deadline, node
   /// budget); kNone for a query that ran to completion.
   EarlyExit early_exit = EarlyExit::kNone;
   /// True when the result was served from PpannsService's trapdoor-keyed
   /// result cache: the ids are a verbatim replay of an earlier identical
-  /// query against the same database epoch, and every work counter above is
-  /// zero because no filter/refine work ran.
+  /// query against the same database epoch, and every work counter is zero
+  /// because no filter/refine work ran.
   bool cache_hit = false;
-  /// Filter-phase time: the scan, or on a sharded server the sum of this
-  /// query's winning dispatch times (not the scatter's wall time).
-  double filter_seconds = 0.0;
-  double refine_seconds = 0.0;
 };
-
-/// Copies a finished context's SearchStats and early-exit reason into the
-/// result counters — the last step of every serving path.
-inline void FillCounters(SearchCounters* counters, const SearchContext& ctx) {
-  counters->nodes_visited = ctx.stats.nodes_visited;
-  counters->distance_computations = ctx.stats.distance_computations;
-  counters->early_exit = ctx.early_exit();
-}
 
 /// Result returned to the user: ids only (4k bytes — the server cannot rank
 /// by true distance values, and the user needs no more).
@@ -131,10 +99,11 @@ struct SearchResult {
 /// k') in (SAP distance, global id) order, which every topology reproduces;
 /// `dce[i]` is candidate i's DCE ciphertext, resolved by the caller (unused
 /// when settings.refine is off). Streams the candidates through one
-/// SortedKBuffer over candidate positions, probing `ctx` between offers, and
-/// fills result->ids, filter_candidates, dce_comparisons, refine_seconds and
-/// the context-derived counters. With refinement off the first k candidates
-/// are the answer.
+/// SortedKBuffer over candidate positions, probing `ctx` between offers,
+/// records filter_candidates, dce_comparisons and refine_seconds in
+/// ctx->stats, fills result->ids, and ends every serving path by copying the
+/// context's stats and early-exit reason into result->counters. With
+/// refinement off the first k candidates are the answer.
 ///
 /// Contract: the answer is the first k candidates in the order of
 /// CanonicalCloser over these positions — Z(o, p) evaluated with the earlier

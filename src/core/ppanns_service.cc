@@ -219,7 +219,7 @@ Result<BatchSearchResult> PpannsService::SearchBatch(
       keys[i] = ResultCache::MakeKey(tokens[i], k, settings);
       if (cache_->Lookup(keys[i], epoch, &batch.results[i].ids)) {
         batch.results[i].counters.cache_hit = true;
-        ++batch.counters.total_cache_hits;
+        ++batch.counters.cache_hits;
       } else {
         miss_index.push_back(i);
       }
@@ -259,14 +259,7 @@ Result<BatchSearchResult> PpannsService::SearchBatch(
     // fails the batch (its siblings shared the same per-query deadline and
     // were truncated the same way).
     if (DeadlineTripped(r)) return DeadlineStatus(settings);
-    batch.counters.total_filter_candidates += r.counters.filter_candidates;
-    batch.counters.total_dce_comparisons += r.counters.dce_comparisons;
-    batch.counters.total_nodes_visited += r.counters.nodes_visited;
-    batch.counters.total_distance_computations +=
-        r.counters.distance_computations;
-    batch.counters.total_hedged_requests += r.counters.hedged_requests;
-    batch.counters.total_filter_seconds += r.counters.filter_seconds;
-    batch.counters.total_refine_seconds += r.counters.refine_seconds;
+    batch.counters.total.Merge(r.counters);
     if (cache_ != nullptr && !r.counters.cache_hit && CacheEligible(r)) {
       cache_->Insert(keys[i], epoch, r.ids);
     }

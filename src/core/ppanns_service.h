@@ -7,8 +7,8 @@
 //    malformed trapdoor, or a mis-shaped insert come back as Status instead
 //    of undefined behavior;
 //  * batched execution — SearchBatch fans a token batch across the global
-//    ThreadPool and aggregates per-query counters into a BatchCounters
-//    summary, returning results bitwise identical to a sequential loop;
+//    ThreadPool and sums the per-query counters into BatchCounters::total,
+//    returning results bitwise identical to a sequential loop;
 //  * one serving path — a single-index package is served as one shard of
 //    one replica with global id = local id, so Search/SearchBatch/Insert/
 //    Delete run the same scatter engine for every topology and scaling out
@@ -40,24 +40,14 @@ namespace ppanns {
 /// Aggregated instrumentation for one SearchBatch call.
 struct BatchCounters {
   std::size_t num_queries = 0;
-  std::size_t total_filter_candidates = 0;
-  std::size_t total_dce_comparisons = 0;
-  /// SearchStats totals across the batch: rows scored and distance
-  /// computations spent by the winning scans.
-  std::size_t total_nodes_visited = 0;
-  std::size_t total_distance_computations = 0;
-  /// Hedge dispatches issued by the hedged batch scatter (0 without one).
-  std::size_t total_hedged_requests = 0;
-  /// Per-query seconds summed across the batch (CPU view; exceeds wall time
-  /// under parallel execution).
-  double total_filter_seconds = 0.0;
-  double total_refine_seconds = 0.0;
-  /// Queries answered from the result cache (0 with the cache disabled).
-  /// Cached queries contribute nothing to the work totals above — no
-  /// filter/refine ran for them.
-  std::size_t total_cache_hits = 0;
   /// End-to-end wall seconds of the batch, including fan-out overhead.
   double wall_seconds = 0.0;
+  /// Queries answered from the result cache (0 with the cache disabled).
+  /// They add nothing to `total` — no filter/refine ran for them.
+  std::size_t cache_hits = 0;
+  /// The sum of every result's counters (its seconds are a CPU view and
+  /// exceed wall_seconds under parallel execution).
+  SearchStats total;
 };
 
 /// Results for one token batch, aligned with the input order.

@@ -78,12 +78,9 @@ struct ShardedCloudServer::Runtime {
 
 // The maintenance seam: one mutex serializes every mutation (Insert,
 // Delete, compaction, split, serialization snapshots) against the others —
-// searches never take it — plus the background worker.
+// searches never take it.
 struct ShardedCloudServer::Maintenance {
   std::mutex mu;
-  MaintenanceOptions options;  // guarded by mu
-  std::thread worker;
-  std::atomic<bool> stop{false};
 };
 
 namespace {
@@ -298,10 +295,8 @@ ShardedCloudServer::ShardedCloudServer(ShardedCloudServer&&) noexcept = default;
 ShardedCloudServer& ShardedCloudServer::operator=(
     ShardedCloudServer&& other) noexcept {
   if (this != &other) {
-    // Our background worker captures `this`; it must die before the state it
-    // polls. The shards and runtime about to be released may still be read
-    // by abandoned async work items; wait them out like the destructor does.
-    StopMaintenance();
+    // The shards and runtime about to be released may still be read by
+    // abandoned async work items; wait them out like the destructor does.
     DrainAsyncWork();
     set_ = std::move(other.set_);
     topology_ = other.topology_;
@@ -396,10 +391,7 @@ Result<MutationOutcome> ShardedCloudServer::BroadcastMutation(
   return first;
 }
 
-ShardedCloudServer::~ShardedCloudServer() {
-  StopMaintenance();
-  DrainAsyncWork();
-}
+ShardedCloudServer::~ShardedCloudServer() { DrainAsyncWork(); }
 
 void ShardedCloudServer::DrainAsyncWork() const {
   if (runtime_ == nullptr) return;  // moved-from
@@ -501,7 +493,7 @@ Status ShardedCloudServer::CompactShard(std::size_t s) {
     return outcome->status;
   }
   std::lock_guard<std::mutex> lock(maintenance_->mu);
-  return CompactShardLocked(s, maintenance_->options.build_threads);
+  return CompactShardLocked(s, /*build_threads=*/1);
 }
 
 Status ShardedCloudServer::SplitShard(std::size_t s) {
@@ -516,7 +508,7 @@ Status ShardedCloudServer::SplitShard(std::size_t s) {
     return outcome->status;
   }
   std::lock_guard<std::mutex> lock(maintenance_->mu);
-  return SplitShardLocked(s, maintenance_->options.build_threads);
+  return SplitShardLocked(s, /*build_threads=*/1);
 }
 
 Result<std::size_t> ShardedCloudServer::MaybeCompact(
@@ -553,8 +545,8 @@ Result<std::size_t> ShardedCloudServer::MaybeCompact(
     if (CompactShardLocked(s, options.build_threads).ok()) ++ops;
   }
 
-  // Split pass: one split per sweep keeps the background worker's swaps
-  // paced (the next sweep re-evaluates the new topology).
+  // Split pass: one split per sweep keeps a polling caller's swaps paced
+  // (the next sweep re-evaluates the new topology).
   if (options.split_skew > 0.0) {
     const std::shared_ptr<ShardSet> cur = set_->Current();
     std::size_t total = 0, heaviest = 0, heaviest_size = 0;
@@ -574,34 +566,6 @@ Result<std::size_t> ShardedCloudServer::MaybeCompact(
     }
   }
   return ops;
-}
-
-void ShardedCloudServer::StartMaintenance(const MaintenanceOptions& options) {
-  PPANNS_CHECK(!remote_);
-  StopMaintenance();  // at most one worker
-  {
-    std::lock_guard<std::mutex> lock(maintenance_->mu);
-    maintenance_->options = options;
-  }
-  maintenance_->stop.store(false, std::memory_order_release);
-  Maintenance* const m = maintenance_.get();
-  maintenance_->worker = std::thread([this, m, options] {
-    while (!m->stop.load(std::memory_order_acquire)) {
-      MaybeCompact(options);
-      // Sleep the poll interval in 1 ms slices so StopMaintenance returns
-      // promptly.
-      for (int slice = 0; slice < std::max(options.poll_ms, 1); ++slice) {
-        if (m->stop.load(std::memory_order_acquire)) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  });
-}
-
-void ShardedCloudServer::StopMaintenance() {
-  if (maintenance_ == nullptr) return;  // moved-from
-  maintenance_->stop.store(true, std::memory_order_release);
-  if (maintenance_->worker.joinable()) maintenance_->worker.join();
 }
 
 double ShardedCloudServer::tombstone_ratio(std::size_t s) const {
@@ -766,7 +730,9 @@ Status ShardedCloudServer::FilterVia(const ShardSet& set, std::size_t s,
                                      ShardFilterResult* out) {
   ReplicaState& state = set.groups[s]->state[r];
   state.inflight.fetch_add(1, std::memory_order_acq_rel);
+  Timer timer;
   const Status st = set.groups[s]->transports[r]->Filter(token, options, ctx, out);
+  ctx->stats.filter_seconds += timer.ElapsedSeconds();
   if (out->scanned) state.requests.fetch_add(1, std::memory_order_acq_rel);
   state.inflight.fetch_sub(1, std::memory_order_acq_rel);
   return st;
@@ -789,6 +755,8 @@ Status ShardedCloudServer::FilterShard(std::size_t s, std::size_t r,
   if (options.k_prime == 0) {
     return Status::InvalidArgument("FilterShard: k' must be positive");
   }
+  SearchContext local;
+  if (ctx == nullptr) ctx = &local;
   PPANNS_RETURN_IF_ERROR(FilterVia(*set, s, r, token, options, ctx, out));
   if (options.want_dce) {
     // Ship the candidates' ciphertexts for the remote refine phase.
@@ -816,9 +784,6 @@ void ShardedCloudServer::MergeAndRefine(
   std::vector<std::pair<Neighbor, const DceCiphertext*>> merged;
   for (const ItemOutcome& item : items) {
     ctx->MergeChild(item.ctx);
-    result->counters.replicas_skipped += item.skipped;
-    result->counters.hedged_requests += item.hedges;
-    result->counters.filter_seconds += item.seconds;
     const ShardFilterResult& answer = item.answer;
     // A remote answer without its ciphertexts cannot be refined: it counts
     // as a shard that did not answer.
@@ -885,12 +850,10 @@ std::vector<SearchResult> ShardedCloudServer::Scatter(
   // small batch still spreads across every core. Each item scans under a
   // Child of its query's context (contexts are single-threaded by design).
   std::vector<ItemOutcome> items;
-  std::size_t wasted_nodes = 0;
   if (async.hedge_ms > 0.0 && !ThreadPool::Global().InWorker()) {
     // Hedging needs this thread as the gather/inline-hedge executor, which
     // a pool worker cannot be for itself.
-    items = RunHedgedScatter(set, tokens, query_ctx, options, async,
-                             &wasted_nodes);
+    items = RunHedgedScatter(set, tokens, query_ctx, options, async);
   } else {
     // Barrier: each shard serves from the replica picked once for the whole
     // call (load-aware; on an idle cluster the first live one). The gather
@@ -903,7 +866,7 @@ std::vector<SearchResult> ShardedCloudServer::Scatter(
     items.resize(num_queries * num_shards);
     for (std::size_t i = 0; i < items.size(); ++i) {
       items[i].ctx = query_ctx[i / num_shards]->Child();
-      items[i].skipped = skipped[i % num_shards];
+      items[i].ctx.stats.replicas_skipped = skipped[i % num_shards];
     }
     ThreadPool::Global().ParallelFor(
         items.size(), [&](std::size_t begin, std::size_t end) {
@@ -911,14 +874,12 @@ std::vector<SearchResult> ShardedCloudServer::Scatter(
             const std::size_t s = i % num_shards;
             if (serving[s] < 0) continue;
             ItemOutcome& item = items[i];
-            Timer item_timer;
             item.failed =
                 !FilterVia(*set, s, static_cast<std::size_t>(serving[s]),
                            tokens[i / num_shards], options, &item.ctx,
                            &item.answer)
                      .ok();
             item.served = !item.failed;
-            item.seconds = item_timer.ElapsedSeconds();
             if (item.failed) {
               item.tried.assign(set->num_replicas, 0);
               item.tried[static_cast<std::size_t>(serving[s])] = 1;
@@ -945,15 +906,19 @@ std::vector<SearchResult> ShardedCloudServer::Scatter(
             const int r = PickReplica(*set, s, nullptr, &item.tried);
             if (r < 0) break;
             item.tried[static_cast<std::size_t>(r)] = 1;
-            item.ctx = query_ctx[i / num_shards]->Child();
+            // The retry scans on a fresh context; the failed dispatches'
+            // scan stats are dropped, the item's dispatch record carries.
+            SearchContext retry = query_ctx[i / num_shards]->Child();
+            retry.stats.filter_seconds = item.ctx.stats.filter_seconds;
+            retry.stats.hedged_requests = item.ctx.stats.hedged_requests;
+            retry.stats.replicas_skipped = item.ctx.stats.replicas_skipped;
+            item.ctx = std::move(retry);
             item.answer = {};
-            Timer item_timer;
             item.served =
                 FilterVia(*set, s, static_cast<std::size_t>(r),
                           tokens[i / num_shards], options, &item.ctx,
                           &item.answer)
                     .ok();
-            item.seconds += item_timer.ElapsedSeconds();
           }
         }
       });
@@ -968,9 +933,6 @@ std::vector<SearchResult> ShardedCloudServer::Scatter(
                          query_ctx[q], &results[q]);
         }
       });
-  // Wasted loser work is a batch-wide observation; attribute it to the
-  // first result rather than replicating it per query.
-  results.front().counters.hedge_wasted_nodes = wasted_nodes;
   return results;
 }
 
@@ -978,8 +940,7 @@ std::vector<ShardedCloudServer::ItemOutcome>
 ShardedCloudServer::RunHedgedScatter(
     std::shared_ptr<const ShardSet> set, std::span<const QueryToken> tokens,
     std::span<SearchContext* const> query_ctx,
-    const ShardFilterOptions& options, const AsyncOptions& async,
-    std::size_t* wasted_nodes) const {
+    const ShardFilterOptions& options, const AsyncOptions& async) const {
   ThreadPool& pool = ThreadPool::Global();
   const std::size_t num_shards = set->groups.size();
   const std::size_t num_items = tokens.size() * num_shards;
@@ -1001,8 +962,8 @@ ShardedCloudServer::RunHedgedScatter(
     bool failed = false;       // every dispatch failed, guarded by mu
     int running = 0;           // dispatches issued, not failed; guarded by mu
     ShardFilterResult answer;  // guarded by mu
-    SearchContext ctx;         // winner's stats and reason, guarded by mu
-    double seconds = 0.0;      // winner's delay + scan time, guarded by mu
+    /// The winner's stats, reason and delay + scan time; guarded by mu.
+    SearchContext ctx;
   };
   struct Coordinator {
     std::shared_ptr<const ShardSet> set;  ///< keeps every group alive
@@ -1011,9 +972,6 @@ ShardedCloudServer::RunHedgedScatter(
     std::condition_variable cv;
     std::size_t pending = 0;  // items dispatched but not yet answered
     std::unique_ptr<ItemSlot[]> slots;
-    /// Wasted work of losers that had already finished when the gather
-    /// completed; the Runtime counters additionally catch late losers.
-    std::atomic<std::size_t> wasted_nodes{0};
   };
   auto co = std::make_shared<Coordinator>();
   co->set = set;
@@ -1050,6 +1008,7 @@ ShardedCloudServer::RunHedgedScatter(
       ShardFilterResult answer;
       const Status st = transport->Filter(co->tokens[token_index], options,
                                           &ctx, &answer);
+      ctx.stats.filter_seconds += item_timer.ElapsedSeconds();
       if (answer.scanned) {
         state->requests.fetch_add(1, std::memory_order_acq_rel);
       }
@@ -1067,7 +1026,7 @@ ShardedCloudServer::RunHedgedScatter(
         return;
       }
       if (!st.ok()) {
-        PublishFailure(slot, item_timer.ElapsedSeconds());
+        PublishFailure(slot);
       } else if (!slot.claimed.exchange(true, std::memory_order_acq_rel)) {
         // First answer wins.
         std::lock_guard<std::mutex> lock(co->mu);
@@ -1075,7 +1034,6 @@ ShardedCloudServer::RunHedgedScatter(
         slot.served = true;
         slot.answer = std::move(answer);
         slot.ctx = ctx;
-        slot.seconds = item_timer.ElapsedSeconds();
         --co->pending;
         co->cv.notify_all();
       } else if (answer.scanned) {
@@ -1090,7 +1048,7 @@ ShardedCloudServer::RunHedgedScatter(
     /// still working on it may yet answer — and then as failed, so the
     /// gather never hangs and Scatter fails the item over to a replica it
     /// has not tried.
-    void PublishFailure(ItemSlot& slot, double seconds) {
+    void PublishFailure(ItemSlot& slot) {
       std::lock_guard<std::mutex> lock(co->mu);
       if (--slot.running > 0 ||
           slot.claimed.exchange(true, std::memory_order_acq_rel)) {
@@ -1099,7 +1057,6 @@ ShardedCloudServer::RunHedgedScatter(
       slot.answered = true;
       slot.failed = true;
       slot.ctx = ctx;
-      slot.seconds = seconds;
       --co->pending;
       co->cv.notify_all();
     }
@@ -1112,8 +1069,6 @@ ShardedCloudServer::RunHedgedScatter(
       rt->cancelled_nodes.fetch_add(ctx.stats.nodes_visited,
                                     std::memory_order_acq_rel);
       rt->cancelled_scans.fetch_add(1, std::memory_order_acq_rel);
-      co->wasted_nodes.fetch_add(ctx.stats.nodes_visited,
-                                 std::memory_order_acq_rel);
     }
 
     void Finish() {
@@ -1144,7 +1099,8 @@ ShardedCloudServer::RunHedgedScatter(
   // answered at once, unserved.
   for (std::size_t i = 0; i < num_items; ++i) {
     outcome[i].tried.assign(set->num_replicas, 0);
-    const int r = PickReplica(*set, i % num_shards, &outcome[i].skipped);
+    const int r = PickReplica(*set, i % num_shards,
+                              &outcome[i].ctx.stats.replicas_skipped);
     if (r < 0) {
       std::lock_guard<std::mutex> lock(co->mu);
       co->slots[i].answered = true;
@@ -1211,7 +1167,7 @@ ShardedCloudServer::RunHedgedScatter(
         const int best = PickReplica(*set, i % num_shards, nullptr, &tried);
         if (best < 0) continue;
         tried[static_cast<std::size_t>(best)] = 1;
-        ++outcome[i].hedges;
+        ++outcome[i].ctx.stats.hedged_requests;
         // Counted under the lock that decided the hedge, so a dispatch of
         // this item failing meanwhile leaves the item to the hedge.
         ++co->slots[i].running;
@@ -1239,12 +1195,10 @@ ShardedCloudServer::RunHedgedScatter(
       if (!slot.answered) continue;
       outcome[i].answer = std::move(slot.answer);
       outcome[i].ctx.MergeChild(slot.ctx);  // stats and reason, no flags
-      outcome[i].seconds = slot.seconds;
       outcome[i].served = slot.served;
       outcome[i].failed = slot.failed;
     }
   }
-  *wasted_nodes = co->wasted_nodes.load(std::memory_order_acquire);
   return outcome;
 }
 

@@ -96,7 +96,7 @@ struct AsyncOptions {
 /// under churn via epoch-swapped tombstone compaction and shard splits.
 class ShardedCloudServer {
  public:
-  /// Knobs of the background/explicit maintenance path.
+  /// Knobs of a maintenance sweep (MaybeCompact).
   struct MaintenanceOptions {
     /// Compact a shard once (capacity - live) / capacity crosses this.
     /// <= 0 compacts any shard with at least one tombstone; > 1 disables.
@@ -110,8 +110,6 @@ class ShardedCloudServer {
     /// Build threads for the off-thread index rebuild (the deterministic
     /// wave builder; any value >= 2 yields identical bytes).
     std::size_t build_threads = 1;
-    /// Background worker poll interval, milliseconds.
-    int poll_ms = 25;
   };
 
   /// Takes ownership of a validated package (Deserialize has already checked
@@ -172,13 +170,10 @@ class ShardedCloudServer {
   void AttachRemoteEpochFence(
       std::shared_ptr<std::atomic<std::uint64_t>> fence);
 
-  /// Stops the background maintenance worker, then waits for any abandoned
-  /// async work items (hedge losers still running on the pool) before
-  /// releasing the shards they read.
+  /// Waits for any abandoned async work items (hedge losers still running
+  /// on the pool) before releasing the shards they read.
   ~ShardedCloudServer();
 
-  /// Movable while quiescent: stop maintenance before moving (the
-  /// background worker captures the object address).
   ShardedCloudServer(ShardedCloudServer&&) noexcept;
   ShardedCloudServer& operator=(ShardedCloudServer&&) noexcept;
 
@@ -265,8 +260,8 @@ class ShardedCloudServer {
   // each op broadcasts the matching MaintenanceRequest to every endpoint.
 
   /// Rebuilds shard s without its tombstones: gathers the live rows in
-  /// local-id order, builds a fresh filter index (deterministic wave
-  /// builder) plus the compacted DCE array — once, for every replica slot —
+  /// local-id order, builds a fresh filter index (one build thread) plus the
+  /// compacted DCE array — once, for every replica slot —
   /// rewrites the manifest (live ids relocate, tombstoned ids become dead
   /// refs) and swaps the new ShardSet in under the epoch pointer. In-flight
   /// searches finish on the old set; new ones see only the compacted shard.
@@ -277,23 +272,19 @@ class ShardedCloudServer {
   /// the second half becomes a new shard appended at the end (global ids
   /// never change — only their (shard, local) locations). Both halves are
   /// rebuilt compacted, so a split also collects s's tombstones. Insert
-  /// routing sees the new topology immediately.
+  /// routing sees the new topology immediately. NotSupported on a remote
+  /// gather: the shard servers refuse a split, because a connected gather's
+  /// transport grid cannot grow.
   Status SplitShard(std::size_t s);
 
   /// One maintenance sweep: compacts every shard whose tombstone ratio
   /// crosses options.compact_threshold, then (when options.split_skew > 0)
   /// splits the heaviest shard if it exceeds split_skew times the mean live
   /// count and min_split_size. Returns the number of structural ops applied.
+  /// Searches never block on it — swaps are the only synchronization — so a
+  /// caller may run it on its own thread while serving. On a remote gather a
+  /// sweep that may split is NotSupported (see SplitShard).
   Result<std::size_t> MaybeCompact(const MaintenanceOptions& options);
-
-  /// Starts (or restarts) the background maintenance worker: a thread that
-  /// runs MaybeCompact(options) every options.poll_ms. Searches never block
-  /// on it — swaps are the only synchronization. Stop before destroying or
-  /// moving the server (the destructor stops it too). Local only — a remote
-  /// gather's maintenance is driven explicitly (or by the shard servers
-  /// themselves).
-  void StartMaintenance(const MaintenanceOptions& options);
-  void StopMaintenance();
 
   // ---- Maintenance observability (admin / CLI surface).
 
@@ -388,7 +379,7 @@ class ShardedCloudServer {
   /// Global counters that must survive swaps at a stable address (async
   /// work items capture a raw pointer to it).
   struct Runtime;
-  /// Maintenance mutex, options and the background worker thread.
+  /// The maintenance mutex.
   struct Maintenance;
 
  private:
@@ -414,14 +405,15 @@ class ShardedCloudServer {
   /// to the lowest replica id) among those not marked in `tried`, or -1 if
   /// none is left. `skipped` accumulates the down replicas ahead of the
   /// first live one, preserving the first-live accounting of
-  /// SearchCounters::replicas_skipped.
+  /// SearchStats::replicas_skipped.
   static int PickReplica(const ShardSet& set, std::size_t s,
                          std::size_t* skipped = nullptr,
                          const std::vector<std::uint8_t>* tried = nullptr);
 
   /// One (query, shard) filter work item through the replica's transport —
   /// in-process scan or remote RPC, interchangeably — maintaining the
-  /// replica's inflight/request counters around the dispatch. A non-OK
+  /// replica's inflight/request counters around the dispatch and adding its
+  /// time to ctx->stats.filter_seconds. A non-OK
   /// Status means the scan could not run (dead connection, server shed);
   /// `out` is then empty.
   static Status FilterVia(const ShardSet& set, std::size_t s, std::size_t r,
@@ -439,12 +431,10 @@ class ShardedCloudServer {
   /// won it. Item q * num_shards + s belongs to query q and shard s.
   struct ItemOutcome {
     ShardFilterResult answer;  ///< global-id candidates (+ DCE when remote)
-    /// The winning scan's stats and early-exit reason; the query context
-    /// merges it like a Child.
+    /// The item's work record: the winning scan's stats and early-exit
+    /// reason plus the item's dispatch time, hedges and skipped replicas.
+    /// The query context merges it like a Child.
     SearchContext ctx;
-    double seconds = 0.0;      ///< the winning dispatch's time
-    std::size_t hedges = 0;    ///< hedge dispatches issued for the item
-    std::size_t skipped = 0;   ///< down replicas passed over at dispatch
     /// tried[r] is set once the item has been dispatched to replica r, so
     /// failover never runs it on the same replica twice. The barrier
     /// dispatch fills it only for an item that failed — the one case
@@ -482,16 +472,13 @@ class ShardedCloudServer {
   /// pinned until the last loser finishes, so a compaction swap mid-query
   /// can never free state a straggler still reads. Every dispatch runs on a Child of its
   /// query's context; the gather gives up at the earliest query deadline.
-  /// Loser nodes observed by the time the gather finished go to
-  /// `wasted_nodes` (late losers land only in the Runtime-wide counters).
+  /// Losers' work is counted in the Runtime (CancelledWorkNodes).
   std::vector<ItemOutcome> RunHedgedScatter(
       std::shared_ptr<const ShardSet> set, std::span<const QueryToken> tokens,
       std::span<SearchContext* const> query_ctx,
-      const ShardFilterOptions& options, const AsyncOptions& async,
-      std::size_t* wasted_nodes) const;
+      const ShardFilterOptions& options, const AsyncOptions& async) const;
 
-  /// One query's gather: folds its work items' stats and counters into
-  /// `ctx` and `result`, merges the answered shards' candidates to the
+  /// One query's gather: folds its work items' stats into `ctx`, merges the answered shards' candidates to the
   /// global SAP-top-k', resolves each candidate's DCE ciphertext once — from
   /// its shard when local, from the shipped answer when remote — and
   /// refines through RefineCandidates.
@@ -501,6 +488,7 @@ class ShardedCloudServer {
                       SearchContext* ctx, SearchResult* result) const;
 
   /// CompactShard/SplitShard bodies, caller holds the maintenance mutex.
+  /// The public calls build with one thread; a sweep passes its options'.
   Status CompactShardLocked(std::size_t s, std::size_t build_threads);
   Status SplitShardLocked(std::size_t s, std::size_t build_threads);
 

@@ -220,9 +220,9 @@ std::vector<Neighbor> FlatScan::Finish(std::size_t extra_distances) {
   if (ctx_ != nullptr) {
     ctx_->stats.nodes_visited += scanned_;
     ctx_->stats.distance_computations += scanned_ + refined + extra_distances;
-    ctx_->stats.filter_seconds += SecondsBetween(start_, filtered);
+    ctx_->stats.scan_seconds += SecondsBetween(start_, filtered);
     if (use_sq_) {
-      ctx_->stats.refine_seconds +=
+      ctx_->stats.sq_rerank_seconds +=
           SecondsBetween(filtered, SearchContext::Clock::now());
     }
   }

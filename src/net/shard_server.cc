@@ -302,8 +302,19 @@ bool ShardServer::HandleMutation(const std::shared_ptr<Connection>& conn,
       auto parsed = MaintenanceRequestMessage::Deserialize(&reader);
       if (!parsed.ok()) return false;
       ShardedCloudServer& server = service_->sharded_server_mutable();
+      // A split would add a shard that neither this endpoint's served list
+      // nor a connected gather's transport grid (fixed at connect) knows of:
+      // the gather would silently drop half the split shard from every
+      // answer. Splits are therefore local-only.
+      const Status no_split = Status::NotSupported(
+          "SplitShard: splits are not supported over the wire; split the "
+          "package in process and restart the shard servers on it");
       switch (parsed->op) {
         case 0: {  // threshold sweep
+          if (parsed->split_skew > 0.0) {
+            response.SetStatus(no_split);
+            break;
+          }
           ShardedCloudServer::MaintenanceOptions options;
           options.compact_threshold = parsed->compact_threshold;
           options.split_skew = parsed->split_skew;
@@ -325,9 +336,7 @@ bool ShardServer::HandleMutation(const std::shared_ptr<Connection>& conn,
           if (response.status_code == 0) response.ops = 1;
           break;
         case 2:
-          response.SetStatus(
-              server.SplitShard(static_cast<std::size_t>(parsed->shard)));
-          if (response.status_code == 0) response.ops = 1;
+          response.SetStatus(no_split);
           break;
         default:
           return false;  // Deserialize validates op <= 2; defensive
@@ -364,9 +373,8 @@ bool ShardServer::HandleInfo(const std::shared_ptr<Connection>& conn,
     info.wal_segments = stats.segments;
     info.wal_bytes = stats.bytes;
   }
-  // Maintenance may have split shards past the handshake-time list; expose
-  // every shard that currently exists when this endpoint serves all of them,
-  // the configured scope otherwise.
+  // Splits are refused over the wire, so the shard list is the one fixed at
+  // construction.
   info.served_shards = served_shards_;
   info.tombstone_ratios.reserve(info.served_shards.size());
   info.compaction_epochs.reserve(info.served_shards.size());

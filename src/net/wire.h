@@ -161,7 +161,8 @@ struct DeleteRequestMessage {
 /// Client -> server: one structural-maintenance command. `op` 0 is a
 /// threshold sweep (MaybeCompact over every shard), 1 compacts `shard`,
 /// 2 splits `shard`; the remaining fields mirror
-/// ShardedCloudServer::MaintenanceOptions.
+/// ShardedCloudServer::MaintenanceOptions. A ShardServer answers a split —
+/// op 2, or a sweep with split_skew > 0 — with NotSupported.
 struct MaintenanceRequestMessage {
   std::uint8_t op = 0;  ///< 0 = sweep, 1 = compact shard, 2 = split shard
   std::uint32_t shard = 0;

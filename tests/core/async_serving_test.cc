@@ -428,6 +428,23 @@ class AsyncServingTest : public ::testing::Test {
   std::vector<QueryToken> tokens_;
 };
 
+/// A remote replica served in-process: forwards to a local server's
+/// FilterShard, the server side of the RPC boundary.
+class InProcessTransport final : public ShardTransport {
+ public:
+  InProcessTransport(const ShardedCloudServer* backend, std::size_t shard)
+      : backend_(backend), shard_(shard) {}
+  Status Filter(const QueryToken& token, const ShardFilterOptions& options,
+                SearchContext* ctx, ShardFilterResult* out) const override {
+    return backend_->FilterShard(shard_, 0, token, options, ctx, out);
+  }
+  bool remote() const override { return true; }
+
+ private:
+  const ShardedCloudServer* backend_;
+  std::size_t shard_;
+};
+
 /// One filter dispatch parked on replica slot (s, r) from its own thread —
 /// inside an injected delay, so it counts as that slot's in-flight load —
 /// until Release() (or destruction) cancels it.
@@ -670,6 +687,95 @@ TEST_F(AsyncServingTest, CountersReportSearchStats) {
                                  AsyncOptions{.hedge_ms = 1000.0});
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->counters.nodes_visited, ds_.base.size());
+
+  // Every path's counters are one copy of the query context's stats, and
+  // the work counts do not depend on the path.
+  const auto expect_work = [](const SearchStats& got, const SearchStats& want,
+                              const std::string& path) {
+    EXPECT_EQ(got.nodes_visited, want.nodes_visited) << path;
+    EXPECT_EQ(got.distance_computations, want.distance_computations) << path;
+    EXPECT_EQ(got.dce_comparisons, want.dce_comparisons) << path;
+    EXPECT_EQ(got.filter_candidates, want.filter_candidates) << path;
+    EXPECT_EQ(got.hedged_requests, want.hedged_requests) << path;
+    EXPECT_EQ(got.replicas_skipped, want.replicas_skipped) << path;
+  };
+  const auto expect_copy = [&](const SearchStats& got, const SearchStats& want,
+                               const std::string& path) {
+    expect_work(got, want, path);
+    EXPECT_EQ(got.filter_seconds, want.filter_seconds) << path;
+    EXPECT_EQ(got.refine_seconds, want.refine_seconds) << path;
+    EXPECT_EQ(got.scan_seconds, want.scan_seconds) << path;
+    EXPECT_EQ(got.sq_rerank_seconds, want.sq_rerank_seconds) << path;
+  };
+  std::vector<SearchContext> sync_ctx(tokens_.size());
+  for (std::size_t i = 0; i < tokens_.size(); ++i) {
+    auto sync = service_->Search(tokens_[i], 8, {}, &sync_ctx[i]);
+    ASSERT_TRUE(sync.ok());
+    expect_copy(sync->counters, sync_ctx[i].stats, "Search");
+    EXPECT_EQ(sync->counters.filter_candidates, 32u);
+    EXPECT_GT(sync->counters.filter_seconds, 0.0);
+    EXPECT_GT(sync->counters.refine_seconds, 0.0);
+  }
+
+  // A hedge that fires: shard 0's first replica straggles, the hedge wins.
+  faults_.Cell(0, 0)->delay_ms = 200;
+  SearchContext hedged_ctx;
+  auto hedged = service_->SearchAsync(tokens_[0], 8, {},
+                                      AsyncOptions{.hedge_ms = 5.0},
+                                      &hedged_ctx);
+  faults_.Cell(0, 0)->delay_ms = 0;
+  ASSERT_TRUE(hedged.ok());
+  expect_copy(hedged->counters, hedged_ctx.stats, "hedged SearchAsync");
+  EXPECT_EQ(hedged->counters.hedged_requests, 1u);
+  SearchStats want_hedged = sync_ctx[0].stats;
+  want_hedged.hedged_requests = 1;
+  expect_work(hedged->counters, want_hedged, "hedged SearchAsync");
+
+  // SearchBatch, plain and hedged: each query reports what the same query
+  // costs on its own, and the batch total is the sum of its results.
+  for (const double hedge_ms : {0.0, 1000.0}) {
+    const std::string path =
+        hedge_ms > 0.0 ? "hedged SearchBatch" : "SearchBatch";
+    auto batch = service_->SearchBatch(tokens_, 8, {},
+                                       AsyncOptions{.hedge_ms = hedge_ms});
+    ASSERT_TRUE(batch.ok());
+    SearchStats sum;
+    for (std::size_t i = 0; i < tokens_.size(); ++i) {
+      expect_work(batch->results[i].counters, sync_ctx[i].stats, path);
+      sum.Merge(batch->results[i].counters);
+    }
+    expect_copy(batch->counters.total, sum, path + " total");
+  }
+
+  // The remote gather: candidates and their ciphertexts come back from the
+  // shards, the work counts are the same.
+  const ShardedCloudServer& backend = service_->sharded_server();
+  ShardedCloudServer::RemoteTopology topology;
+  topology.num_shards = backend.num_shards();
+  topology.num_replicas = 1;
+  topology.dim = backend.dim();
+  topology.index_kind = backend.index_kind();
+  topology.size = backend.size();
+  topology.capacity = backend.capacity();
+  std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
+      topology.num_shards);
+  for (std::size_t s = 0; s < topology.num_shards; ++s) {
+    transports[s].push_back(std::make_unique<InProcessTransport>(&backend, s));
+  }
+  PpannsService gather{ShardedCloudServer(topology, std::move(transports))};
+  SearchContext remote_ctx;
+  auto remote = gather.Search(tokens_[0], 8, {}, &remote_ctx);
+  ASSERT_TRUE(remote.ok());
+  expect_copy(remote->counters, remote_ctx.stats, "remote gather");
+  expect_work(remote->counters, sync_ctx[0].stats, "remote gather");
+
+  // A cache hit ran no filter or refine work.
+  service_->EnableResultCache();
+  ASSERT_TRUE(service_->Search(tokens_[0], 8).ok());
+  auto hit = service_->Search(tokens_[0], 8);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->counters.cache_hit);
+  expect_copy(hit->counters, SearchStats{}, "cache hit");
 }
 
 TEST_F(AsyncServingTest, LoadAwareDispatchPrefersIdleReplica) {
@@ -764,7 +870,7 @@ TEST_F(AsyncServingTest, HedgedBatchMatchesSequentialIds) {
   for (std::size_t i = 0; i < tokens_.size(); ++i) {
     EXPECT_EQ(batch->results[i].ids, healthy[i]) << "hedged batch query " << i;
   }
-  EXPECT_GE(batch->counters.total_hedged_requests, 1u);
+  EXPECT_GE(batch->counters.total.hedged_requests, 1u);
   faults_.Cell(0, 0)->delay_ms = 0;
 
   // A healthy cluster: the hedged batch still matches, without hedges.
@@ -774,7 +880,7 @@ TEST_F(AsyncServingTest, HedgedBatchMatchesSequentialIds) {
   for (std::size_t i = 0; i < tokens_.size(); ++i) {
     EXPECT_EQ(calm->results[i].ids, healthy[i]);
   }
-  EXPECT_EQ(calm->counters.total_hedged_requests, 0u);
+  EXPECT_EQ(calm->counters.total.hedged_requests, 0u);
 }
 
 // A hedged batch against a cluster with every replica down answers with
@@ -811,23 +917,6 @@ TEST_F(AsyncServingTest, HedgedBatchWithEveryReplicaDownIsPartialNotCached) {
     EXPECT_EQ(up->results[i].ids, healthy[i]) << "query " << i;
   }
 }
-
-/// A remote replica served in-process: forwards to a local server's
-/// FilterShard, the server side of the RPC boundary.
-class InProcessTransport final : public ShardTransport {
- public:
-  InProcessTransport(const ShardedCloudServer* backend, std::size_t shard)
-      : backend_(backend), shard_(shard) {}
-  Status Filter(const QueryToken& token, const ShardFilterOptions& options,
-                SearchContext* ctx, ShardFilterResult* out) const override {
-    return backend_->FilterShard(shard_, 0, token, options, ctx, out);
-  }
-  bool remote() const override { return true; }
-
- private:
-  const ShardedCloudServer* backend_;
-  std::size_t shard_;
-};
 
 // A shard whose dispatch fails did not answer: every serving path marks the
 // query partial (so the facade never caches the truncated ids) and returns

@@ -3,8 +3,8 @@
 // live set), searches keep running *through* a compaction/split swap without
 // ever reading freed state (the TSan target), MaybeCompact honors its
 // threshold/skew/min-size knobs, dead manifest refs reject re-deletes, the
-// compacted package round-trips through the checksummed v3 envelope, and the
-// background worker keeps tombstone ratios bounded while mutations land.
+// compacted package round-trips through the checksummed v3 envelope, and a
+// background sweep loop keeps tombstone ratios bounded while mutations land.
 
 #include <algorithm>
 #include <atomic>
@@ -393,8 +393,14 @@ TEST(MaintenanceDynamicsTest, BackgroundWorkerKeepsTombstonesBounded) {
 
   ShardedCloudServer::MaintenanceOptions options;
   options.compact_threshold = 0.05;
-  options.poll_ms = 1;
-  server.StartMaintenance(options);
+  // The background worker: a thread this test owns, sweeping every 1 ms.
+  std::atomic<bool> stop{false};
+  std::thread worker([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      ASSERT_TRUE(server.MaybeCompact(options).ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 
   // Deletes trickle in while the worker sweeps; the mutation lock
   // serializes them against any in-flight compaction automatically.
@@ -421,7 +427,8 @@ TEST(MaintenanceDynamicsTest, BackgroundWorkerKeepsTombstonesBounded) {
     }
     if (!bounded) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  server.StopMaintenance();
+  stop.store(true, std::memory_order_release);
+  worker.join();
   EXPECT_TRUE(bounded) << "worker never brought tombstone ratios down";
   EXPECT_GT(server.state_version(), 0u);
   EXPECT_EQ(service.size(), n - deleted.size());

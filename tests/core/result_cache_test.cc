@@ -451,8 +451,8 @@ TEST(ResultCacheServiceTest, BatchPartitionsHitsAndMissesIdentically) {
   auto oracle = sys.plain->SearchBatch(sys.tokens, 10, kTwinSettings);
   ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  EXPECT_EQ(mixed->counters.total_cache_hits, (sys.tokens.size() + 1) / 2);
-  EXPECT_EQ(oracle->counters.total_cache_hits, 0u);
+  EXPECT_EQ(mixed->counters.cache_hits, (sys.tokens.size() + 1) / 2);
+  EXPECT_EQ(oracle->counters.cache_hits, 0u);
   for (std::size_t i = 0; i < sys.tokens.size(); ++i) {
     EXPECT_EQ(mixed->results[i].ids, oracle->results[i].ids) << "query " << i;
     EXPECT_EQ(mixed->results[i].counters.cache_hit, i % 2 == 0);
@@ -461,8 +461,8 @@ TEST(ResultCacheServiceTest, BatchPartitionsHitsAndMissesIdentically) {
   // The whole batch is now resident: an all-hit batch runs no scatter.
   auto warm = sys.cached->SearchBatch(sys.tokens, 10, kTwinSettings);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->counters.total_cache_hits, sys.tokens.size());
-  EXPECT_EQ(warm->counters.total_nodes_visited, 0u);
+  EXPECT_EQ(warm->counters.cache_hits, sys.tokens.size());
+  EXPECT_EQ(warm->counters.total.nodes_visited, 0u);
   for (std::size_t i = 0; i < sys.tokens.size(); ++i) {
     EXPECT_EQ(warm->results[i].ids, oracle->results[i].ids);
   }

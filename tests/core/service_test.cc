@@ -223,10 +223,10 @@ TEST_P(ServiceBatchEquivalenceTest, BatchMatchesSequentialSearch) {
 
   // Counter aggregation: sums of the (deterministic) per-query counters.
   EXPECT_EQ(batch->counters.num_queries, nq);
-  EXPECT_EQ(batch->counters.total_filter_candidates, want_candidates);
-  EXPECT_EQ(batch->counters.total_dce_comparisons, want_comparisons);
+  EXPECT_EQ(batch->counters.total.filter_candidates, want_candidates);
+  EXPECT_EQ(batch->counters.total.dce_comparisons, want_comparisons);
   EXPECT_GT(batch->counters.wall_seconds, 0.0);
-  EXPECT_GT(batch->counters.total_filter_seconds, 0.0);
+  EXPECT_GT(batch->counters.total.filter_seconds, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServiceBatchEquivalenceTest,

@@ -175,7 +175,7 @@ TEST(ShardedSearchTest, BatchMatchesSequentialSearch) {
     want_comparisons += sequential[i].counters.dce_comparisons;
   }
   EXPECT_EQ(batch->counters.num_queries, nq);
-  EXPECT_EQ(batch->counters.total_dce_comparisons, want_comparisons);
+  EXPECT_EQ(batch->counters.total.dce_comparisons, want_comparisons);
 }
 
 // The parallel per-shard build must be deterministic: same seed, data and

@@ -442,6 +442,48 @@ TEST(RemoteMutationTest, InsertDeleteCompactMatchLocalTwin) {
   }
 }
 
+// A connected gather's transport grid and the endpoint's served-shard list
+// are fixed at connect time, so a split over the wire would append a shard
+// nobody scans and silently drop half of the split shard from every answer.
+// The shard server refuses it — an explicit split and a splitting sweep
+// alike — and leaves the package as it was.
+TEST(RemoteMutationTest, SplitOverTheWireIsNotSupported) {
+  const std::size_t n = 600, nq = 20, k = 5;
+  const Dataset ds = MakeData(n, nq, /*seed=*/79);
+  Loopback lb(IndexKind::kBruteForce, 2, 1, ds, 79);
+  ShardedCloudServer& gather = lb.remote->sharded_server_mutable();
+
+  EXPECT_EQ(gather.SplitShard(0).code(), Status::Code::kNotSupported);
+  ShardedCloudServer::MaintenanceOptions sweep;
+  sweep.split_skew = 1.01;
+  sweep.min_split_size = 2;
+  auto swept = gather.MaybeCompact(sweep);
+  EXPECT_EQ(swept.status().code(), Status::Code::kNotSupported);
+  EXPECT_EQ(lb.backend->num_shards(), 2u);
+  EXPECT_EQ(lb.backend->sharded_server().state_version(), 0u);
+
+  const std::vector<QueryToken> tokens = MakeTokens(*lb.owner, ds, 83);
+  for (const QueryToken& token : tokens) {
+    auto l = lb.local->Search(token, k);
+    auto r = lb.remote->Search(token, k);
+    ASSERT_TRUE(l.ok()) << l.status().ToString();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->partial);
+    EXPECT_EQ(r->ids, l->ids);
+  }
+
+  auto reconnected = ConnectShardedService({Endpoint(*lb.server)});
+  ASSERT_TRUE(reconnected.ok()) << reconnected.status().ToString();
+  PpannsService fresh{std::move(*reconnected)};
+  for (const QueryToken& token : tokens) {
+    auto l = lb.local->Search(token, k);
+    auto r = fresh.Search(token, k);
+    ASSERT_TRUE(l.ok()) << l.status().ToString();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->ids, l->ids);
+  }
+}
+
 /// A remote transport grid with no mutation path (the pre-v2 shape).
 class NullTransport final : public ShardTransport {
  public:

@@ -582,17 +582,20 @@ int CmdSearch(const Args& args) {
                      service.num_replicas(),
                      batch->counters.wall_seconds,
                      batch->counters.num_queries / batch->counters.wall_seconds,
-                     batch->counters.total_filter_candidates,
-                     batch->counters.total_dce_comparisons,
-                     batch->counters.total_nodes_visited,
-                     batch->counters.total_distance_computations,
-                     batch->counters.total_hedged_requests,
-                     batch->counters.total_cache_hits);
+                     batch->counters.total.filter_candidates,
+                     batch->counters.total.dce_comparisons,
+                     batch->counters.total.nodes_visited,
+                     batch->counters.total.distance_computations,
+                     batch->counters.total.hedged_requests,
+                     batch->counters.cache_hits);
       }
     }
   } else {
     std::size_t hedged = 0;
-    std::size_t wasted_nodes = 0;
+    // Hedge losers' scored rows, read as a delta of the server's lifetime
+    // counter (which also catches losers finishing after their query).
+    const std::size_t wasted_before =
+        service.sharded_server().CancelledWorkNodes();
     std::vector<double> latencies_ms;
     latencies_ms.reserve(queries->size() * repeat);
     std::vector<QueryToken> tokens;
@@ -619,7 +622,6 @@ int CmdSearch(const Args& args) {
           break;
         }
         hedged += result->counters.hedged_requests;
-        wasted_nodes += result->counters.hedge_wasted_nodes;
         if (rep > 0) {  // repeats: collect latency + verify, skip the output
           if (result->partial) {
             std::fprintf(stderr, "repeat: pass %zu query %zu came back "
@@ -691,7 +693,10 @@ int CmdSearch(const Args& args) {
                      "  \"latencies_ms\": [",
                      connect.empty() ? "local" : "remote", hedge_ms,
                      latencies_ms.size(), repeat, pct(0.50), pct(0.99),
-                     hedged, wasted_nodes, cache_stats.hits,
+                     hedged,
+                     service.sharded_server().CancelledWorkNodes() -
+                         wasted_before,
+                     cache_stats.hits,
                      cache_stats.misses);
         for (std::size_t i = 0; i < latencies_ms.size(); ++i) {
           std::fprintf(jf, "%s%.3f", i == 0 ? "" : ", ", latencies_ms[i]);
